@@ -54,7 +54,6 @@ from .constructions import (
 )
 from .catalog import FixtureDescriptor, catalog_get, catalog_list
 from .search import (
-    HAVE_COMPILED_KERNEL,
     SearchConfig,
     centroid_basis,
     search_rb,

@@ -72,9 +72,15 @@ def to_document(A: HomAlgebra) -> dict:
     return doc
 
 
+def _is_array(obj, dim: int, depth: int) -> bool:
+    """Whether obj is lists nested ``depth`` deep, each of length ``dim``."""
+    if not isinstance(obj, list) or len(obj) != dim:
+        return False
+    return depth == 1 or all(_is_array(x, dim, depth - 1) for x in obj)
+
+
 def _parse_matrix(obj, dim: int, params, what: str) -> LinearMap:
-    if (not isinstance(obj, list) or len(obj) != dim
-            or any(not isinstance(r, list) or len(r) != dim for r in obj)):
+    if not _is_array(obj, dim, 2):
         raise ValueError(f"{what} must be a {dim}x{dim} array of scalar strings")
     return LinearMap([[parse_scalar(str(x), params) for x in row] for row in obj], params)
 
@@ -88,7 +94,10 @@ def from_document(doc: dict) -> HomAlgebra:
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise ValueError("dim must be a positive integer")
-    params = tuple(doc.get("params", ()))
+    params = doc.get("params", [])
+    if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
+        raise ValueError("params must be a list of strings")
+    params = tuple(params)
     cls = doc.get("signature")
     ops_obj = doc.get("ops")
     if not isinstance(ops_obj, dict) or not ops_obj:
@@ -100,9 +109,7 @@ def from_document(doc: dict) -> HomAlgebra:
         if name not in ops_obj:
             raise ValueError(f"missing operation {name!r}")
         table = ops_obj[name]
-        if (not isinstance(table, list) or len(table) != dim
-                or any(len(row) != dim for row in table)
-                or any(len(vec) != dim for row in table for vec in row)):
+        if not _is_array(table, dim, 3):
             raise ValueError(f"operation {name!r} must be a {dim}x{dim}x{dim} array")
         ops[name] = BilinearOp(
             [[[parse_scalar(str(x), params) for x in vec] for vec in row] for row in table],
@@ -118,7 +125,10 @@ def from_document(doc: dict) -> HomAlgebra:
             parse_scalar(str(rb_obj["weight"]), params),
             _parse_matrix(rb_obj["R"], dim, params, "rb.R"),
         )
-    labels = tuple(doc.get("labels") or ())
+    labels = doc.get("labels") or []
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise ValueError("labels must be a list of strings")
+    labels = tuple(labels)
     return HomAlgebra(dim, params, signature, ops, alpha, rb, labels)
 
 
@@ -140,16 +150,20 @@ class UsageError(ValueError):
     pass
 
 
+def _parse_rational(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad rational in {what}: {exc}") from exc
+
+
 def _parse_assignments(pairs) -> dict[str, Fraction]:
     assignment = {}
     for item in pairs or ():
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise UsageError(f"bad --set {item!r}; expected name=value")
-        try:
-            assignment[name] = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad rational in --set {item!r}: {exc}") from exc
+        assignment[name] = _parse_rational(value, f"--set {item!r}")
     return assignment
 
 
@@ -324,12 +338,9 @@ def _cmd_search(args) -> int:
             print(f"verified: all {len(basis)} elements pass the centroid check")
         return 0
 
-    try:
-        entries = [Fraction(piece) for piece in args.entries.split(",") if piece]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad --entries: {exc}") from exc
-    cfg = SearchConfig(entries, weight=Fraction(args.weight), op_name=args.op,
-                       limit=args.limit)
+    entries = [_parse_rational(piece, "--entries") for piece in args.entries.split(",") if piece]
+    cfg = SearchConfig(entries, weight=_parse_rational(args.weight, "--weight"),
+                       op_name=args.op, limit=args.limit)
     finder = search_rb_oracle if args.oracle else search_rb
     solutions = finder(algebra, cfg)
     if args.json:
@@ -388,6 +399,16 @@ def _cmd_eval(args) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_input_arguments(parser: argparse.ArgumentParser):
     parser.add_argument("file", nargs="?", help="algebra document (JSON)")
     parser.add_argument("--fixture", help="catalog fixture name")
@@ -409,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--class", dest="klass", required=True,
                          choices=axioms.CLASS_CHECK_NAMES)
     p_check.add_argument("--json", action="store_true", help="machine-readable report")
-    p_check.add_argument("--witness-cap", type=int, default=axioms.DEFAULT_WITNESS_CAP)
+    p_check.add_argument("--witness-cap", type=_positive_int, default=axioms.DEFAULT_WITNESS_CAP)
     p_check.set_defaults(fn=_cmd_check)
 
     p_con = sub.add_parser("construct", help="apply a construction")

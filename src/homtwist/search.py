@@ -1,12 +1,16 @@
 """Desk-scale discovery: Rota-Baxter operator grids and exact centroids.
 
-``search_rb`` enumerates every matrix over a finite rational entry grid that
-satisfies the Rota-Baxter identity, pruning candidates pair by pair; it runs
-on a compiled kernel when available (the data is pre-scaled to integers) and
-otherwise on a pure-Python twin of the same algorithm.  ``search_rb_oracle``
-is an independent naive implementation used to cross-validate the search; it
-shares nothing with it beyond rational arithmetic.  ``centroid_basis`` solves
-the linear centroid conditions exactly.
+``search_rb`` finds every matrix over a finite rational entry grid that
+satisfies the Rota-Baxter identity.  After clearing denominators, the identity
+on each basis triple (i, j, k) is one quadratic equation with integer
+coefficients in the d*d entries of R.  The entries are assigned one at a time
+in row-major order, each over the grid in ascending order, and an equation is
+checked as soon as its last entry is set, so a partial matrix that already
+breaks one is abandoned with its whole subtree (depth-first backtracking).
+Hits therefore come out in lexicographic order of the flattened entries.
+``search_rb_oracle`` is an independent naive implementation used to
+cross-validate the search; it shares nothing with it beyond rational
+arithmetic.  ``centroid_basis`` solves the linear centroid conditions exactly.
 """
 
 from __future__ import annotations
@@ -16,16 +20,8 @@ import os
 from fractions import Fraction
 from math import lcm
 
-from . import _rbkernel_py
 from .core import HomAlgebra, LinearMap, nullspace
 from .scalar import Scalar, as_rational
-
-try:
-    from . import _rbkernel
-except ImportError:  # extension not built; the pure twin handles everything
-    _rbkernel = None
-
-HAVE_COMPILED_KERNEL = _rbkernel is not None
 
 __all__ = [
     "SearchConfig",
@@ -35,14 +31,10 @@ __all__ = [
     "search_budget",
     "DEFAULT_SEARCH_BUDGET",
     "BUDGET_ENV_VAR",
-    "HAVE_COMPILED_KERNEL",
 ]
 
 DEFAULT_SEARCH_BUDGET = 10**8
 BUDGET_ENV_VAR = "HOMTWIST_SEARCH_BUDGET"
-
-# Headroom below 2^63 for the compiled kernel's intermediate sums.
-_INT64_GUARD = 2**62
 
 
 class SearchConfig:
@@ -121,28 +113,77 @@ def _scaled_problem(A: HomAlgebra, cfg: SearchConfig):
     return entries_scaled, c_flat, t_scaled, de, dt
 
 
-def _fits_int64(dim: int, entries_scaled, c_flat, t_scaled, de, dt) -> bool:
-    max_r = max((abs(e) for e in entries_scaled), default=0)
-    max_c = max((abs(x) for x in c_flat), default=0)
-    main = dt * 3 * dim * dim * max_r * max_r * max_c
-    theta_side = de * abs(t_scaled) * dim * max_r * max_c
-    return max(main, theta_side) < _INT64_GUARD
+def _equations(d: int, c_flat, t: int, de: int, dt: int) -> list[list[list[tuple[int, int, int]]]]:
+    """The scaled identity as sparse integer equations, grouped by check depth.
+
+    Basis triple (i, j, k) gives dt*(lhs - rhs_main) - de*t*rhs_theta = 0 in
+    the scaled entries x[p*d + i] = de*R[p][i]; c_flat is the scaled structure
+    tensor flattened as c[(p*d + q)*d + k].  Each equation is a list of terms
+    (coeff, a, b) meaning coeff*x[a]*x[b] with a <= b; slot d*d holds the
+    constant 1, so the linear weight terms are (coeff, a, d*d).  Equal
+    monomials are merged and zero coefficients dropped; an equation with no
+    terms left holds everywhere and is dropped.  Entry ``depth`` of the result
+    lists the equations whose highest entry index is ``depth``.
+    """
+    one = d * d
+    by_depth = [[] for _ in range(one)]
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                terms: dict[tuple[int, int], int] = {}
+
+                def add(coeff, a, b):
+                    key = (a, b) if a <= b else (b, a)
+                    terms[key] = terms.get(key, 0) + coeff
+
+                for p in range(d):
+                    for q in range(d):
+                        add(dt * c_flat[(p * d + q) * d + k], p * d + i, q * d + j)
+                for m in range(d):
+                    for p in range(d):
+                        add(-dt * c_flat[(p * d + j) * d + m], k * d + m, p * d + i)
+                        add(-dt * c_flat[(i * d + p) * d + m], k * d + m, p * d + j)
+                    add(-de * t * c_flat[(i * d + j) * d + m], k * d + m, one)
+                eq = [(coeff, a, b) for (a, b), coeff in terms.items() if coeff]
+                if eq:
+                    depth = max(a if b == one else b for _, a, b in eq)
+                    by_depth[depth].append(eq)
+    return by_depth
 
 
-def _select_kernel(kernel: str | None, fits: bool):
-    if kernel is None:
-        if HAVE_COMPILED_KERNEL and fits:
-            return _rbkernel
-        return _rbkernel_py
-    if kernel == "python":
-        return _rbkernel_py
-    if kernel == "c":
-        if not HAVE_COMPILED_KERNEL:
-            raise ValueError("compiled kernel is not available")
-        if not fits:
-            raise ValueError("problem exceeds 64-bit bounds; use the python kernel")
-        return _rbkernel
-    raise ValueError("kernel must be None, 'c' or 'python'")
+def _backtrack(grid: list[int], by_depth, limit: int) -> list[tuple[int, ...]]:
+    """Depth-first search over the grid, entry by entry in index order.
+
+    Values are tried in grid order, so with an ascending grid the hits (tuples
+    of grid indices) come out in lexicographic order.  A positive limit stops
+    the search after that many hits; 0 finds them all.
+    """
+    n = len(by_depth)
+    x = [0] * n + [1]
+    digits = [-1] * n
+    last = len(grid) - 1
+    hits: list[tuple[int, ...]] = []
+    pos = 0
+    while pos >= 0:
+        digit = digits[pos]
+        if digit == last:
+            digits[pos] = -1
+            pos -= 1
+            continue
+        digit += 1
+        digits[pos] = digit
+        x[pos] = grid[digit]
+        for eq in by_depth[pos]:
+            if sum(coeff * x[a] * x[b] for coeff, a, b in eq):
+                break
+        else:
+            if pos + 1 < n:
+                pos += 1
+            else:
+                hits.append(tuple(digits))
+                if len(hits) == limit:
+                    break
+    return hits
 
 
 def _digits_to_map(A: HomAlgebra, cfg: SearchConfig, digits) -> LinearMap:
@@ -158,7 +199,7 @@ def _lex_key(m: LinearMap):
     return tuple(x.constant_value() for row in m.entries for x in row)
 
 
-def search_rb(A: HomAlgebra, cfg: SearchConfig, *, kernel: str | None = None) -> list[LinearMap]:
+def search_rb(A: HomAlgebra, cfg: SearchConfig) -> list[LinearMap]:
     """All matrices over the entry grid satisfying the Rota-Baxter identity.
 
     Deterministic: results come in lexicographic order of flattened entries.
@@ -168,13 +209,9 @@ def search_rb(A: HomAlgebra, cfg: SearchConfig, *, kernel: str | None = None) ->
     _require_parameter_free(A)
     _check_budget(A, cfg)
     entries_scaled, c_flat, t_scaled, de, dt = _scaled_problem(A, cfg)
-    fits = _fits_int64(A.dim, entries_scaled, c_flat, t_scaled, de, dt)
-    impl = _select_kernel(kernel, fits)
-    limit = -1 if cfg.limit is None else cfg.limit
-    found = impl.enumerate_rb(A.dim, entries_scaled, c_flat, t_scaled, de, dt, limit)
-    maps = [_digits_to_map(A, cfg, digits) for digits in found]
-    maps.sort(key=_lex_key)
-    return maps
+    by_depth = _equations(A.dim, c_flat, t_scaled, de, dt)
+    found = _backtrack(entries_scaled, by_depth, cfg.limit or 0)
+    return [_digits_to_map(A, cfg, digits) for digits in found]
 
 
 def search_rb_oracle(A: HomAlgebra, cfg: SearchConfig) -> list[LinearMap]:

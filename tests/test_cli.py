@@ -61,6 +61,26 @@ class TestCheck:
                            "--class", "associative")
         assert code == 2
 
+    def test_witness_cap_must_be_positive(self, capsys):
+        for cap in ("0", "-1", "x"):
+            code, out, err = run(capsys, "check", "--fixture", "ex_assoc3",
+                                 "--class", "associative", "--set", "a=1", "--set", "b=2",
+                                 "--witness-cap", cap)
+            assert code == 2
+            assert out == ""
+            assert "--witness-cap" in err
+
+    def test_integer_rows_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "introws.json"
+        path.write_text(json.dumps({
+            "format": 1, "dim": 2, "params": [], "signature": "associative",
+            "ops": {"mul": [3, 7]}, "alpha": [["1", "0"], ["0", "1"]],
+        }))
+        code, out, err = run(capsys, "check", str(path), "--class", "associative")
+        assert code == 2
+        assert out == ""
+        assert "mul" in err and "Traceback" not in err
+
     def test_rota_baxter_class(self, capsys, tmp_path):
         instance = attach_rb(catalog_get("unital_field"), 1, LinearMap([[-1]]))
         path = tmp_path / "rb.json"
@@ -169,6 +189,13 @@ class TestSearchCommand:
         assert code == code2 == 0
         assert fast == json.loads(out2)
 
+    def test_zero_denominator_weight(self, capsys):
+        code, out, err = run(capsys, "search", "rb", "--fixture", "unital_field",
+                             "--weight", "3/0")
+        assert code == 2
+        assert out == ""
+        assert "--weight" in err and "Traceback" not in err
+
     def test_budget_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("HOMTWIST_SEARCH_BUDGET", "10")
         code, _, err = run(capsys, "search", "rb", "--fixture", "zero_algebra",
@@ -249,6 +276,32 @@ class TestDocuments:
         bad["alpha"] = [["1"]] * 2
         with pytest.raises(ValueError):
             from_document(bad)
+
+    def test_nested_arrays_must_be_lists(self):
+        doc = to_document(catalog_get("zero_algebra", dim=2))
+        for table in ([3, 7], [[1, 2], [3, 4]], [["00", "00"], ["00", "00"]]):
+            bad = json.loads(json.dumps(doc))
+            bad["ops"]["mul"] = table
+            with pytest.raises(ValueError, match="2x2x2 array"):
+                from_document(bad)
+        bad = json.loads(json.dumps(doc))
+        bad["alpha"] = ["10", "01"]
+        with pytest.raises(ValueError, match="alpha"):
+            from_document(bad)
+
+    def test_params_must_be_list_of_strings(self):
+        doc = to_document(catalog_get("ex_assoc3"))
+        assert doc["params"] == ["a", "b"]
+        for params in ("ab", [1, 2], {"a": 1}):
+            bad = dict(doc, params=params)
+            with pytest.raises(ValueError, match="params"):
+                from_document(bad)
+
+    def test_labels_must_be_list_of_strings(self):
+        doc = to_document(catalog_get("unital_field"))
+        for labels in ("x", 5, [1]):
+            with pytest.raises(ValueError, match="labels"):
+                from_document(dict(doc, labels=labels))
 
     def test_labels_survive(self):
         A = catalog_get("ex_assoc3")

@@ -10,7 +10,6 @@ from homtwist.core import LinearMap
 from homtwist.scalar import Scalar
 from homtwist.search import (
     BUDGET_ENV_VAR,
-    HAVE_COMPILED_KERNEL,
     SearchConfig,
     centroid_basis,
     search_budget,
@@ -82,6 +81,17 @@ class TestSearchRb:
         for R in search_rb(A12, SearchConfig([-1, 0, 1], weight=1)):
             assert check_rota_baxter(A12, R=R, theta=theta).passed
 
+    def test_dim3_five_point_grid(self):
+        # 5^9 candidates: the count here was fixed by a full brute-force scan
+        A12 = catalog_get("ex_assoc3", {"a": 1, "b": 2})
+        theta = Scalar.constant(1)
+        sols = search_rb(A12, SearchConfig([-2, -1, 0, 1, 2], weight=1))
+        assert len(sols) == 24
+        flats = [tuple(_entries(m)) for m in sols]
+        assert flats == sorted(flats)
+        for R in sols:
+            assert check_rota_baxter(A12, R=R, theta=theta).passed
+
     def test_parametric_rejected(self):
         with pytest.raises(ValueError, match="parametric"):
             search_rb(catalog_get("ex_assoc3"), SearchConfig([0, 1]))
@@ -129,16 +139,28 @@ class TestOracleAgreement:
             cfg = SearchConfig([-1, 0, 1], weight=theta)
             assert search_rb(A, cfg) == search_rb_oracle(A, cfg), f"trial {trial}"
 
-    def test_kernels_agree(self):
-        if not HAVE_COMPILED_KERNEL:
-            pytest.skip("compiled kernel not built")
-        rng = random.Random(17)
-        for _ in range(3):
-            A = _random_plain(rng, 2)
-            cfg = SearchConfig([-1, 0, 1], weight=rng.choice([0, 1]))
-            fast = search_rb(A, cfg, kernel="c")
-            slow = search_rb(A, cfg, kernel="python")
-            assert fast == slow
+    def test_randomized_engine_matches_oracle(self):
+        # fractional structure constants, grids and weights exercise every
+        # scale factor; the limits check that the first hits come in lex order
+        rng = random.Random(2011)
+        coeffs = [0, 0, 0, 0, 0, 1, -1, Fraction(1, 2), 2]
+        weights = [0, 1, -1, Fraction(1, 2), 2]
+        halves = [Fraction(v, 2) for v in range(-4, 5) if v]
+        multi_hit = 0
+        for trial in range(45):
+            dim = 1 if trial % 3 == 0 else 2
+            flat = [rng.choice(coeffs) for _ in range(dim ** 3)]
+            it = iter(flat)
+            A = one_op_algebra(
+                dim, [[[next(it) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)],
+                "plain")
+            cfg = SearchConfig([0, *rng.sample(halves, 6 if dim == 1 else 3)],
+                               weight=weights[trial % 5],
+                               limit=[None, 1, 3][trial // 3 % 3])
+            found = search_rb(A, cfg)
+            assert found == search_rb_oracle(A, cfg), f"trial {trial}: {flat} {cfg}"
+            multi_hit += len(found) > 1
+        assert multi_hit >= 10
 
     def test_python_kernel_handles_big_scalars(self):
         # entries far beyond the 64-bit guard force the pure kernel
