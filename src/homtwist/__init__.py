@@ -8,7 +8,7 @@ dendriform/tridendriform/pre-Lie splittings of Rota-Baxter operators), and
 searches finite grids for Rota-Baxter operators with an independent oracle.
 """
 
-from .scalar import ParseError, Rational, Scalar, parse_scalar
+from .scalar import ParseError, Scalar, parse_scalar
 from .core import (
     BilinearOp,
     HomAlgebra,

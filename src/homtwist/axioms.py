@@ -410,11 +410,3 @@ def check_class(A: HomAlgebra, class_name: str, *, cap: int = DEFAULT_WITNESS_CA
     if class_name == "rota-baxter":
         return check_rota_baxter(A, cap=cap)
     raise ValueError(f"unknown check {class_name!r}; known: {CLASS_CHECK_NAMES}")
-
-
-def signature_check(A: HomAlgebra, *, cap: int = DEFAULT_WITNESS_CAP) -> AxiomReport:
-    """The class check matching the algebra's own signature ('plain' has none)."""
-    cls = A.signature.cls
-    if cls == "plain":
-        raise ValueError("a 'plain' algebra has no canonical class check")
-    return check_class(A, "hom-" + cls, cap=cap)

@@ -8,14 +8,16 @@ Conventions, fixed once and used everywhere:
 * a :class:`BilinearOp` stores a rank-3 tensor ``c`` with
   ``e_i o e_j = sum_k c[i][j][k] * e_k``.
 
-Exact inversion and nullspace computations are restricted to parameter-free
-entries; parametric algebras must be specialized at a rational point first.
+One sparse exact elimination engine serves ``rref``, ``nullspace`` and
+``LinearMap.inverse``.  It is restricted to parameter-free entries; parametric
+algebras must be specialized at a rational point first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .scalar import Scalar, as_rational
@@ -113,34 +115,39 @@ class LinearMap:
             params,
         )
 
-    @classmethod
-    def from_fractions(cls, rows: Sequence[Sequence[object]], params: Iterable[str] = ()) -> "LinearMap":
-        return cls(rows, params)
-
     def col(self, j: int) -> tuple[Scalar, ...]:
         return tuple(self.entries[i][j] for i in range(self.dim))
 
     def apply(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vector) != self.dim:
             raise ValueError(f"dimension mismatch: map dim {self.dim}, vector {len(vector)}")
-        return tuple(
-            sum((self.entries[i][j] * vector[j] for j in range(self.dim)),
-                Scalar.zero(self.params))
-            for i in range(self.dim)
-        )
+        support = [(j, x) for j, x in enumerate(vector) if not x.is_zero()]
+        zero = Scalar.zero(self.params)
+        out = []
+        for row in self.entries:
+            acc = zero
+            for j, x in support:
+                a = row[j]
+                if not a.is_zero():
+                    acc = acc + a * x
+            out.append(acc)
+        return tuple(out)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other: (self.compose(other))(v) == self(other(v))."""
         if not isinstance(other, LinearMap) or other.dim != self.dim:
             raise ValueError("dimension mismatch in composition")
         zero = Scalar.zero(self.params)
-        rows = [
-            [
-                sum((self.entries[i][k] * other.entries[k][j] for k in range(self.dim)), zero)
-                for j in range(self.dim)
-            ]
-            for i in range(self.dim)
-        ]
+        rows = []
+        for row in self.entries:
+            out = [zero] * self.dim
+            for k, a in enumerate(row):
+                if a.is_zero():
+                    continue
+                for j, b in enumerate(other.entries[k]):
+                    if not b.is_zero():
+                        out[j] = out[j] + a * b
+            rows.append(out)
         return LinearMap(rows, self.params)
 
     def power(self, n: int) -> "LinearMap":
@@ -197,29 +204,18 @@ class LinearMap:
         return [[x.constant_value() for x in row] for row in self.entries]
 
     def inverse(self) -> "LinearMap":
-        """Exact inverse via Gauss-Jordan elimination over the rationals.
+        """Exact inverse: the right half of the reduced form of [M | I].
 
         Restricted to parameter-free maps; raises on singular input.
         """
-        a = self.to_fraction_rows()
         n = self.dim
-        inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col]), None)
-            if pivot is None:
-                raise ValueError("singular matrix")
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            p = a[col][col]
-            a[col] = [x / p for x in a[col]]
-            inv[col] = [x / p for x in inv[col]]
-            for r in range(n):
-                if r == col or not a[r][col]:
-                    continue
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return LinearMap(inv, self.params)
+        one = Fraction(1)
+        augmented = [row + [one if i == j else 0 for j in range(n)]
+                     for i, row in enumerate(self.to_fraction_rows())]
+        reduced, pivots = rref(augmented)
+        if pivots != list(range(n)):
+            raise ValueError("singular matrix")
+        return LinearMap([row[n:] for row in reduced], self.params)
 
     def commutes_with(self, other: "LinearMap") -> bool:
         return self.compose(other) == other.compose(self)
@@ -555,43 +551,93 @@ class HomAlgebra:
         )
 
 
-# -- exact nullspace -----------------------------------------------------------
+# -- exact elimination ---------------------------------------------------------
 
 
-def _to_fraction_row(row: Sequence[object]) -> list[Fraction]:
-    out = []
-    for x in row:
-        if isinstance(x, Scalar):
-            out.append(x.constant_value())
-        else:
-            out.append(as_rational(x))
-    return out
+def _rational(x) -> Fraction:
+    return x.constant_value() if isinstance(x, Scalar) else as_rational(x)
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot is None:
+def _eliminate(rows: Sequence[Sequence[object]]) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Sparse Gauss-Jordan elimination; returns (pivot rows, pivot columns).
+
+    ``rows`` must be nonempty.  Rows become dicts of their nonzero cells, each scaled so that its leading
+    entry is 1; zero rows and scaled repeats of an earlier row are dropped.
+    Every unpivoted row has no entry left of the current column, so the
+    candidates for column ``col`` are the rows that lead there.  The shortest
+    of them becomes the pivot (Markowitz's sparsest-row rule), and ``col`` is
+    cleared from every other row, earlier pivot rows included.
+    """
+    seen: set[tuple] = set()
+    leading: dict[int, list[dict[int, Fraction]]] = {}
+    columns = range(len(rows[0]))
+    for row in rows:
+        entries = {}
+        # zero ints and Fractions skip coercion; zero Scalars coerce to 0
+        for j in compress(columns, row):
+            v = _rational(row[j])
+            if v:
+                entries[j] = v
+        if not entries:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][col]
-        m[r] = [x / p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        lead = min(entries)
+        scale = entries[lead]
+        if scale != 1:
+            entries = {j: v / scale for j, v in entries.items()}
+        key = tuple(entries.items())
+        if key not in seen:
+            seen.add(key)
+            leading.setdefault(lead, []).append(entries)
+    reduced: list[dict[int, Fraction]] = []
+    pivots: list[int] = []
+    while leading:
+        col = min(leading)
+        candidates = leading.pop(col)
+        chosen = min(candidates, key=len)
+        p = chosen[col]
+        pivot = chosen if p == 1 else {j: v / p for j, v in chosen.items()}
+        for row in candidates:
+            if row is not chosen:
+                _clear(row, pivot, col)
+                if row:
+                    leading.setdefault(min(row), []).append(row)
+        for row in reduced:
+            if col in row:
+                _clear(row, pivot, col)
+        reduced.append(pivot)
         pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    return reduced, pivots
+
+
+def _clear(row: dict[int, Fraction], pivot: dict[int, Fraction], col: int) -> None:
+    """row -= row[col] * pivot, in place; pivot[col] is 1."""
+    f = row[col]
+    for j, v in pivot.items():
+        x = row.get(j, 0) - f * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def rref(rows: Sequence[Sequence[object]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Entries are rationals or constant Scalars.  Only the nonzero rows of the
+    form are returned, ordered by pivot column.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    reduced, pivots = _eliminate(rows)
+    zero = Fraction(0)
+    dense = []
+    for entries in reduced:
+        row = [zero] * ncols
+        for j, v in entries.items():
+            row[j] = v
+        dense.append(row)
+    return dense, pivots
 
 
 def nullspace(rows: Sequence[Sequence[object]]) -> list[tuple[Fraction, ...]]:
@@ -601,21 +647,22 @@ def nullspace(rows: Sequence[Sequence[object]]) -> list[tuple[Fraction, ...]]:
     refused.  Free coordinates are parameterized in ascending index order,
     each basis vector carrying a 1 in its free position.
     """
-    frac_rows = [_to_fraction_row(r) for r in rows]
-    if not frac_rows:
+    if not rows:
         raise ValueError("no rows; the ambient dimension is unknown")
-    ncols = len(frac_rows[0])
-    if any(len(r) != ncols for r in frac_rows):
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
         raise ValueError("ragged rows")
-    reduced, pivots = rref(frac_rows)
+    reduced, pivots = _eliminate(rows)
     pivot_set = set(pivots)
+    zero, one = Fraction(0), Fraction(1)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        vec = [zero] * ncols
+        vec[free] = one
         for row, pcol in zip(reduced, pivots):
-            vec[pcol] = -row[free]
+            if free in row:
+                vec[pcol] = -row[free]
         basis.append(tuple(vec))
     return basis

@@ -23,11 +23,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-__all__ = ["Rational", "Scalar", "ParseError", "parse_scalar"]
-
-# Arbitrary-precision rational numbers: numerator/denominator are Python ints,
-# gcd-reduced, denominator > 0.  Exactly the invariants we need.
-Rational = Fraction
+__all__ = ["Scalar", "ParseError", "parse_scalar"]
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 

@@ -57,8 +57,8 @@ class SearchConfig:
             weight = weight.constant_value()
         self.weight: Fraction = as_rational(weight)
         self.op_name = op_name
-        if limit is not None and (not isinstance(limit, int) or limit < 0):
-            raise ValueError("limit must be a nonnegative integer")
+        if limit is not None and (not isinstance(limit, int) or limit < 1):
+            raise ValueError("limit must be a positive integer")
         self.limit = limit
 
     def __repr__(self):
@@ -276,20 +276,25 @@ def centroid_basis(A: HomAlgebra) -> list[LinearMap]:
     c = _fraction_tensor(A, None)
     d = A.dim
     n2 = d * d
-    zero = Fraction(0)
+    # the nonzero constants c[p][j][k] over p, and c[i][q][k] over q
+    left = [[[(p, c[p][j][k]) for p in range(d) if c[p][j][k]] for k in range(d)]
+            for j in range(d)]
+    right = [[[(q, c[i][q][k]) for q in range(d) if c[i][q][k]] for k in range(d)]
+             for i in range(d)]
     rows = []
     for i in range(d):
         for j in range(d):
+            image = [(m, x) for m, x in enumerate(c[i][j]) if x]
             for k in range(d):
-                row1 = [zero] * n2
-                row2 = [zero] * n2
-                for m in range(d):
-                    row1[k * d + m] += c[i][j][m]
-                    row2[k * d + m] += c[i][j][m]
-                for p in range(d):
-                    row1[p * d + i] -= c[p][j][k]
-                for q in range(d):
-                    row2[q * d + j] -= c[i][q][k]
+                row1 = [0] * n2
+                row2 = [0] * n2
+                for m, x in image:
+                    row1[k * d + m] += x
+                    row2[k * d + m] += x
+                for p, x in left[j][k]:
+                    row1[p * d + i] -= x
+                for q, x in right[i][k]:
+                    row2[q * d + j] -= x
                 rows.append(row1)
                 rows.append(row2)
     basis = nullspace(rows)

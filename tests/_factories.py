@@ -374,12 +374,57 @@ def centroid_grid_bruteforce(A: HomAlgebra, grid):
             yield flat
 
 
+def reference_rref(rows):
+    """Dense Gauss-Jordan reduced row echelon form; returns (rows, pivot columns).
+
+    The elimination ``homtwist.core.rref`` used before it went sparse, kept as
+    an independent reference for it.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        p = m[r][col]
+        m[r] = [x / p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def reference_nullspace(rows):
+    """Nullspace basis of Fraction rows from ``reference_rref``, in the order
+    ``homtwist.core.nullspace`` promises: one vector per free column, ascending."""
+    ncols = len(rows[0])
+    reduced, pivots = reference_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, pcol in zip(reduced, pivots):
+            vec[pcol] = -row[free]
+        basis.append(tuple(vec))
+    return basis
+
+
 def span_membership_tester(maps):
     """A predicate deciding membership in the rational span of the given maps."""
-    from homtwist.core import rref
-
     rows = [[x.constant_value() for row in m.entries for x in row] for m in maps]
-    reduced, pivots = rref(rows) if rows else ([], [])
+    reduced, pivots = reference_rref(rows)
 
     def contains(flat) -> bool:
         vec = [Fraction(x) for x in flat]

@@ -196,6 +196,14 @@ class TestSearchCommand:
         assert out == ""
         assert "--weight" in err and "Traceback" not in err
 
+    def test_zero_limit_refused(self, capsys):
+        for extra in ((), ("--oracle",)):
+            code, out, err = run(capsys, "search", "rb", "--fixture", "unital_field",
+                                 "--weight", "1", "--limit", "0", *extra)
+            assert code == 2
+            assert out == ""
+            assert "limit" in err and "Traceback" not in err
+
     def test_budget_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("HOMTWIST_SEARCH_BUDGET", "10")
         code, _, err = run(capsys, "search", "rb", "--fixture", "zero_algebra",

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,13 @@ from homtwist.core import (
     Signature,
     basis_vector,
     nullspace,
+    rref,
     vec_add,
     vec_scale,
 )
 from homtwist.scalar import Scalar, parse_scalar
+
+from _factories import reference_nullspace, reference_rref
 
 
 def test_apply_map_identity():
@@ -114,6 +118,44 @@ def test_nullspace_parametric_refused():
     a = Scalar.variable("a", ["a"])
     with pytest.raises(ValueError):
         nullspace([[a, a]])
+
+
+def _random_system(rng):
+    """A small rational matrix, tall or wide, with zero rows, repeats and scaled repeats."""
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+    values = [0] * rng.choice([1, 6]) + [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    rows = [[Fraction(rng.choice(values)) for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(rng.randint(0, 3)):
+        source = rng.choice(rows)
+        extra = rng.choice([
+            [Fraction(0)] * ncols,
+            list(source),
+            [rng.choice([2, -1, Fraction(1, 3)]) * x for x in source],
+        ])
+        rows.insert(rng.randrange(len(rows) + 1), extra)
+    return rows
+
+
+def test_engine_matches_dense_reference():
+    rng = random.Random(20260)
+    squares = singular = 0
+    for _ in range(200):
+        rows = _random_system(rng)
+        assert rref(rows) == reference_rref(rows)
+        assert nullspace(rows) == reference_nullspace(rows)
+        if len(rows) != len(rows[0]):
+            continue
+        squares += 1
+        m = LinearMap(rows)
+        if len(reference_rref(rows)[1]) < m.dim:
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                m.inverse()
+        else:
+            identity = LinearMap.identity(m.dim)
+            assert m.compose(m.inverse()) == identity
+            assert m.inverse().compose(m) == identity
+    assert squares >= 10 and 0 < singular < squares
 
 
 def test_power_matches_repeated_compose():

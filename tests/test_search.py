@@ -6,6 +6,7 @@ import pytest
 
 from homtwist.axioms import check_centroid, check_rota_baxter
 from homtwist.catalog import catalog_get
+from homtwist.constructions import matrix_algebra
 from homtwist.core import LinearMap
 from homtwist.scalar import Scalar
 from homtwist.search import (
@@ -46,8 +47,9 @@ class TestSearchConfig:
             SearchConfig([0, 1], weight=Scalar.variable("q", ["q"]))
 
     def test_bad_limit(self):
-        with pytest.raises(ValueError, match="limit"):
-            SearchConfig([0], limit=-2)
+        for limit in (-2, 0):
+            with pytest.raises(ValueError, match="limit"):
+                SearchConfig([0], limit=limit)
 
 
 class TestSearchRb:
@@ -227,6 +229,31 @@ class TestCentroidBasis:
             hits += 1
             assert in_span(flat)
         assert hits > 1  # at least the scalar multiples of the identity
+
+    def test_matches_dense_reference(self):
+        # the centroid conditions written out densely, solved by the reference
+        # elimination
+        from _factories import reference_nullspace
+
+        for A, size in ((matrix_algebra(catalog_get("unital_field"), 3), 1),
+                        (catalog_get("ex_assoc3", {"a": 1, "b": 2}), 1),
+                        (catalog_get("zero_algebra", dim=3), 9)):
+            d = A.dim
+            c = [[[x.constant_value() for x in vec] for vec in row] for row in A.op.c]
+            rows = []
+            for i, j, k in itertools.product(range(d), repeat=3):
+                left = [Fraction(0)] * (d * d)
+                right = [Fraction(0)] * (d * d)
+                for m in range(d):
+                    left[k * d + m] += c[i][j][m]
+                    right[k * d + m] += c[i][j][m]
+                    left[m * d + i] -= c[m][j][k]
+                    right[m * d + j] -= c[i][m][k]
+                rows += [left, right]
+            expected = [LinearMap([vec[r * d:(r + 1) * d] for r in range(d)])
+                        for vec in reference_nullspace(rows)]
+            assert len(expected) == size
+            assert centroid_basis(A) == expected
 
     def test_parametric_rejected(self):
         with pytest.raises(ValueError, match="parametric"):
