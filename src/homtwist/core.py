@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
-from .scalar import Scalar, as_rational
+from .scalar import Scalar, _validated_params, as_rational
 
 __all__ = [
     "LinearMap",
@@ -87,7 +87,7 @@ class LinearMap:
     __slots__ = ("dim", "params", "entries")
 
     def __init__(self, entries: Sequence[Sequence[object]], params: Iterable[str] = ()):
-        params = tuple(params)
+        params = _validated_params(params)
         rows = tuple(tuple(_coerce_scalar(x, params) for x in row) for row in entries)
         dim = len(rows)
         if dim == 0 or any(len(row) != dim for row in rows):
@@ -239,7 +239,7 @@ class BilinearOp:
     __slots__ = ("dim", "params", "c")
 
     def __init__(self, c: Sequence[Sequence[Sequence[object]]], params: Iterable[str] = ()):
-        params = tuple(params)
+        params = _validated_params(params)
         tensor = tuple(
             tuple(tuple(_coerce_scalar(x, params) for x in vec) for vec in row)
             for row in c
@@ -267,7 +267,7 @@ class BilinearOp:
     def apply(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("dimension mismatch in bilinear application")
-        out = [Scalar.zero(self.params) for _ in range(self.dim)]
+        out = [Scalar.zero(self.params)] * self.dim
         for p, up in enumerate(u):
             if up.is_zero():
                 continue
@@ -284,17 +284,19 @@ class BilinearOp:
         """The operation followed by m: (x, y) -> m(x o y)."""
         if m.dim != self.dim:
             raise ValueError("dimension mismatch")
+        d = self.dim
         zero = Scalar.zero(self.params)
-        c = [
-            [
-                [
-                    sum((self.c[i][j][t] * m.entries[k][t] for t in range(self.dim)), zero)
-                    for k in range(self.dim)
-                ]
-                for j in range(self.dim)
-            ]
-            for i in range(self.dim)
-        ]
+        c = [[[zero] * d for _ in range(d)] for _ in range(d)]
+        for i, row in enumerate(self.c):
+            for j, vec in enumerate(row):
+                out = c[i][j]
+                for t, x in enumerate(vec):
+                    if x.is_zero():
+                        continue
+                    for k in range(d):
+                        a = m.entries[k][t]
+                        if not a.is_zero():
+                            out[k] = out[k] + x * a
         return BilinearOp(c, self.params)
 
     def precompose(self, left: LinearMap | None = None, right: LinearMap | None = None) -> "BilinearOp":

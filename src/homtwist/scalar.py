@@ -21,11 +21,20 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping
+from operator import add, sub
+from typing import Collection, Iterable, Mapping
 
-__all__ = ["Scalar", "ParseError", "parse_scalar"]
+__all__ = ["Scalar", "ParseError", "parse_scalar", "MAX_POWER_BITS"]
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
+_ZERO = Fraction(0)
+
+#: Largest estimated size, in coefficient bits over all terms, of a power that
+#: ``Scalar.__pow__`` (and so the ``^`` of the grammar) computes.  A ``t``-term
+#: base to the power ``e`` has at most ``C(e + t - 1, t - 1)`` terms, each with
+#: about ``e * (g + log2 t)`` bits, where ``g`` bounds the bits of a base
+#: coefficient beyond those of 1; a power of ``a`` or ``-a`` costs nothing.
+MAX_POWER_BITS = 100_000
 
 
 class ParseError(ValueError):
@@ -53,7 +62,15 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def _validated_params(params: Iterable[str]) -> tuple[str, ...]:
+class _Params(tuple):
+    """A tuple of parameter names that ``_validated_params`` has checked."""
+
+    __slots__ = ()
+
+
+def _validated_params(params: Iterable[str]) -> _Params:
+    if type(params) is _Params:
+        return params
     names = tuple(params)
     seen = set()
     for name in names:
@@ -62,7 +79,41 @@ def _validated_params(params: Iterable[str]) -> tuple[str, ...]:
         if name in seen:
             raise ValueError(f"duplicate parameter name: {name!r}")
         seen.add(name)
-    return names
+    return _Params(names)
+
+
+def _capped_comb(n: int, k: int, cap: int) -> int:
+    """``C(n, k)``, or some value above ``cap`` once the result is known to be."""
+    k = min(k, n - k)
+    result = 1
+    for i in range(1, k + 1):
+        result = result * (n - k + i) // i  # at least doubles while k <= n / 2
+        if result > cap:
+            break
+    return result
+
+
+def _check_power(coefficients: Collection[Fraction], exponent: int) -> None:
+    """Refuse, before any product, a power of a polynomial with these nonzero
+    coefficients whose size is estimated above ``MAX_POWER_BITS``."""
+    if exponent < 2 or not coefficients:
+        return
+    t = len(coefficients)
+    growth = max((abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length()
+                 for c in coefficients)
+    bits = exponent * (growth + (t - 1).bit_length())
+    if _capped_comb(exponent + t - 1, t - 1, MAX_POWER_BITS) * bits > MAX_POWER_BITS:
+        raise ValueError(
+            f"a power of a {t}-term polynomial exceeds the size bound of "
+            f"{MAX_POWER_BITS} bits"
+        )
+
+
+def _rational_power(value: Fraction, exponent: int) -> Fraction:
+    """``value ** exponent`` for a substituted parameter, bounded like ``^``."""
+    if value:
+        _check_power((value,), exponent)
+    return value ** exponent
 
 
 class Scalar:
@@ -70,7 +121,7 @@ class Scalar:
 
     ``terms`` maps exponent tuples (one entry per parameter, in declared
     order) to nonzero coefficients.  Instances are immutable; every operation
-    returns a new canonical-form Scalar.
+    returns a canonical-form Scalar, which may be an operand itself (``x + 0``).
     """
 
     __slots__ = ("params", "terms")
@@ -97,12 +148,13 @@ class Scalar:
 
     @classmethod
     def constant(cls, value, params: Iterable[str] = ()) -> "Scalar":
-        params = tuple(params)
-        return cls(params, {(0,) * len(params): as_rational(value)})
+        c = as_rational(value)
+        params = _validated_params(params)
+        return _make(params, {(0,) * len(params): c} if c else {})
 
     @classmethod
     def zero(cls, params: Iterable[str] = ()) -> "Scalar":
-        return cls(params, {})
+        return _make(_validated_params(params), {})
 
     @classmethod
     def one(cls, params: Iterable[str] = ()) -> "Scalar":
@@ -133,6 +185,9 @@ class Scalar:
         return next(iter(self.terms.values()))
 
     # -- ring operations ----------------------------------------------------
+    #
+    # Results are built by ``_make``: the operands are canonical and their
+    # parameter names were checked when they were made, so the result is too.
 
     def _coerced(self, other) -> "Scalar":
         if isinstance(other, Scalar):
@@ -141,40 +196,50 @@ class Scalar:
                     f"parameter list mismatch: {self.params!r} vs {other.params!r}"
                 )
             return other
-        return Scalar.constant(as_rational(other), self.params)
+        return Scalar.constant(other, self.params)
+
+    def _merged(self, other: "Scalar", op) -> "Scalar":
+        """``op(self, other)`` for ``op`` in ``add``, ``sub``, term by term."""
+        terms = dict(self.terms)
+        for exps, c in other.terms.items():
+            s = op(terms.get(exps, _ZERO), c)
+            if s:
+                terms[exps] = s
+            else:
+                del terms[exps]
+        return _make(self.params, terms)
 
     def __add__(self, other):
         try:
             other = self._coerced(other)
         except TypeError:
             return NotImplemented
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, Fraction(0)) + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
-        return Scalar(self.params, terms)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        return self._merged(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.params, {e: -c for e, c in self.terms.items()})
+        return _make(self.params, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         try:
             other = self._coerced(other)
         except TypeError:
             return NotImplemented
-        return self + (-other)
+        if not other.terms:
+            return self
+        return self._merged(other, sub)
 
     def __rsub__(self, other):
         try:
             other = self._coerced(other)
         except TypeError:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         try:
@@ -184,13 +249,13 @@ class Scalar:
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exps, Fraction(0)) + c1 * c2
+                exps = tuple(map(add, e1, e2))
+                s = terms.get(exps, _ZERO) + c1 * c2
                 if s:
                     terms[exps] = s
                 else:
                     del terms[exps]
-        return Scalar(self.params, terms)
+        return _make(self.params, terms)
 
     __rmul__ = __mul__
 
@@ -199,19 +264,23 @@ class Scalar:
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative exponent")
+        _check_power(self.terms.values(), exponent)
         result = Scalar.one(self.params)
         base = self
         e = exponent
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Scalar.constant(other, self.params)
+            if not other:
+                return not self.terms
+            return len(self.terms) == 1 and self.terms.get((0,) * len(self.params)) == other
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.params == other.params and self.terms == other.terms
@@ -233,7 +302,7 @@ class Scalar:
                     if name not in assignment:
                         raise ValueError(f"missing parameter value for {name!r}")
                     values[name] = as_rational(assignment[name])
-                acc *= values[name] ** e
+                acc *= _rational_power(values[name], e)
             total += acc
         return total
 
@@ -246,21 +315,21 @@ class Scalar:
             if name not in self.params:
                 raise ValueError(f"unknown parameter {name!r} in assignment")
         values = {name: as_rational(v) for name, v in assignment.items()}
-        kept = tuple(p for p in self.params if p not in values)
+        kept = _Params(p for p in self.params if p not in values)
         kept_pos = [i for i, p in enumerate(self.params) if p not in values]
         terms: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
             acc = coeff
             for name, e in zip(self.params, exps):
                 if e and name in values:
-                    acc *= values[name] ** e
+                    acc *= _rational_power(values[name], e)
             new_exps = tuple(exps[i] for i in kept_pos)
             s = terms.get(new_exps, Fraction(0)) + acc
             if s:
                 terms[new_exps] = s
             else:
                 terms.pop(new_exps, None)
-        return Scalar(kept, terms)
+        return _make(kept, terms)
 
     # -- printing -----------------------------------------------------------
 
@@ -298,6 +367,14 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({str(self)!r}, params={self.params!r})"
+
+
+def _make(params: _Params, terms: dict[tuple[int, ...], Fraction]) -> Scalar:
+    """The trusted constructor: ``params`` already validated, ``terms`` canonical."""
+    s = object.__new__(Scalar)
+    object.__setattr__(s, "params", params)
+    object.__setattr__(s, "terms", terms)
+    return s
 
 
 # -- parser -----------------------------------------------------------------
@@ -380,6 +457,7 @@ class _Parser:
         value = self.atom()
         kind, text, pos = self.peek()
         if kind == "op" and text == "^":
+            caret = pos
             self.take()
             kind, text, pos = self.peek()
             if kind == "op" and text == "-":
@@ -387,7 +465,10 @@ class _Parser:
             if kind != "num":
                 raise ParseError("expected a nonnegative integer exponent", pos)
             self.take()
-            value = value ** int(text)
+            try:
+                value = value ** int(text)
+            except ValueError as exc:  # over the power bound, or too many digits
+                raise ParseError(str(exc), caret) from None
         return value
 
     def atom(self) -> Scalar:

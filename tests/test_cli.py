@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homtwist.catalog import catalog_get
 from homtwist.cli import from_document, load_algebra, main, save_algebra, to_document
-from homtwist.constructions import rb_dendriform
+from homtwist.constructions import derived_algebra, rb_dendriform
 from homtwist.core import LinearMap
 
 from _factories import attach_rb, one_op_algebra
@@ -241,6 +245,40 @@ class TestEval:
         code, _, err = run(capsys, "eval", "1+*2")
         assert code == 2
 
+    def test_huge_power_refused(self, capsys):
+        code, out, err = run(capsys, "eval", "(1+a)^99999999", "--params", "a")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the size bound" in err and "position 5" in err
+        code, out, err = run(capsys, "eval", "((((2^100)^100)^100)^100)^100")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the size bound" in err and "position 15" in err
+
+    def test_printed_powers_parse_back(self, capsys):
+        code, out, _ = run(capsys, "eval", "a^100*a", "--params", "a")
+        assert (code, out) == (0, "a^101\n")
+        code, out, _ = run(capsys, "eval", out.strip(), "--params", "a")
+        assert (code, out) == (0, "a^101\n")
+
+    # the grammar's tokens, with an unknown name and exponents past the size bound
+    _TOKENS = ["0", "1", "2", "7", "99999999", "a", "b", "c", "+", "-", "*", "/", "^",
+               "(", ")", " "]
+
+    @given(st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join))
+    @settings(max_examples=80, deadline=None)
+    def test_fuzz_exit_contract(self, expr):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["eval", "--params", "a,b", "--", expr])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2)
+        assert "Traceback" not in out + err
+        if code == 2:
+            assert out == "" and err
+        else:
+            assert out and err == ""
+
 
 class TestDocuments:
     def test_round_trip_catalog(self, tmp_path):
@@ -251,6 +289,14 @@ class TestDocuments:
             path = tmp_path / f"{name}.json"
             save_algebra(A, str(path))
             assert load_algebra(str(path)) == A
+
+    def test_round_trip_high_powers(self, tmp_path):
+        # alpha^64 of the type-2 derived algebra has the entry q^128
+        D = derived_algebra(catalog_get("jackson_sl2"), 6, "type2", force=True)
+        path = tmp_path / "derived.json"
+        save_algebra(D, str(path))
+        assert "q^128" in path.read_text()
+        assert load_algebra(str(path)) == D
 
     def test_round_trip_with_rb(self):
         instance = attach_rb(catalog_get("unital_field"), 1, LinearMap([[-1]]))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homtwist.scalar import ParseError, Scalar, parse_scalar
+from homtwist.scalar import MAX_POWER_BITS, ParseError, Scalar, parse_scalar
 
 
 class TestParse:
@@ -100,6 +100,79 @@ class TestArithmetic:
             Scalar.variable("q", ["q"]) * 0.5
 
 
+class TestPowerBound:
+    def test_huge_powers_refused_before_computing(self, monkeypatch):
+        a = Scalar.variable("a", ["a"])
+        bases = [1 + a, 2 * a, Scalar.constant(2 ** 10_000, ["a"])]
+
+        def no_product(self, other):
+            raise AssertionError("a refused power must not multiply")
+
+        monkeypatch.setattr(Scalar, "__mul__", no_product)
+        for base, exponent in zip(bases, [99_999_999, 99_999_999, 100]):
+            with pytest.raises(ValueError, match="exceeds the size bound"):
+                base ** exponent
+
+    def test_size_bound(self):
+        a = Scalar.variable("a", ["a"])
+        # (1+a)^e has e+1 terms of about e bits each
+        assert len(((1 + a) ** 315).terms) == 316
+        with pytest.raises(ValueError, match="exceeds the size bound"):
+            (1 + a) ** 316
+        with pytest.raises(ValueError, match="exceeds the size bound"):
+            parse_scalar("1+a+b", ["a", "b"]) ** 80
+
+    def test_bound_is_inclusive(self):
+        two = Scalar.constant(2, ["a"])
+        assert two ** MAX_POWER_BITS == Scalar.constant(2 ** MAX_POWER_BITS, ["a"])
+        with pytest.raises(ValueError, match="exceeds the size bound"):
+            two ** (MAX_POWER_BITS + 1)
+        a = Scalar.variable("a", ["a"])
+        assert (a - a) ** 99_999_999 == 0
+
+    def test_monomial_powers_are_not_bounded(self):
+        # a power of a or -a is one term with coefficient 1 or -1, whatever e is
+        for text, printed in [("a^100*a", "a^101"), ("a^101", "a^101"),
+                              ("(-a)^99999999", "-a^99999999"),
+                              ("(a^99999999)^99999999", "a^9999999800000001")]:
+            value = parse_scalar(text, ["a"])
+            assert str(value) == printed
+            assert parse_scalar(printed, ["a"]) == value
+
+    def test_substituted_powers_are_bounded(self):
+        s = parse_scalar("a^99999999 + b", ["a", "b"])
+        for value in [0, 1, -1]:
+            assert s.substitute({"a": value}) == parse_scalar(f"{value ** 99999999} + b", ["b"])
+        with pytest.raises(ValueError, match="exceeds the size bound"):
+            s.substitute({"a": 3})
+        with pytest.raises(ValueError, match="exceeds the size bound"):
+            s.evaluate({"a": Fraction(1, 2), "b": 0})
+
+    def test_parser_reports_the_caret(self):
+        with pytest.raises(ParseError, match="exceeds the size bound") as err:
+            parse_scalar("(1+a)^99999999", ["a"])
+        assert err.value.position == 5
+        with pytest.raises(ParseError) as err:
+            parse_scalar("a*(1+a+b)^80", ["a", "b"])
+        assert err.value.position == 9
+        with pytest.raises(ParseError) as err:
+            parse_scalar("((((2^100)^100)^100)^100)^100", [])
+        assert err.value.position == 15
+        with pytest.raises(ParseError) as err:
+            parse_scalar("a^" + "9" * 5000, ["a"])
+        assert err.value.position == 1
+
+    @pytest.mark.parametrize("exponent", [2, 3, 4])
+    def test_small_powers_match_repeated_products(self, exponent):
+        # the shape of the benchmark's eval expressions
+        params = ["a", "b"]
+        base = parse_scalar("3*a - 2/5*b", params)
+        expected = Scalar.one(params)
+        for _ in range(exponent):
+            expected = expected * base
+        assert parse_scalar(f"(3*a - 2/5*b)^{exponent}", params) == expected
+
+
 class TestIsZero:
     def test_algebraic_identity(self):
         a, b = (Scalar.variable(n, ["a", "b"]) for n in "ab")
@@ -152,16 +225,43 @@ class TestSubstitute:
 _rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
 
-def _polys(params=("a", "b")):
-    exps = st.tuples(*(st.integers(0, 3) for _ in params))
+def _polys(params=("a", "b"), max_exponent=3):
+    exps = st.tuples(*(st.integers(0, max_exponent) for _ in params))
     return st.dictionaries(exps, _rationals, max_size=4).map(
         lambda terms: Scalar(params, terms)
     )
 
 
+def _assert_canonical(r):
+    """``r`` is exactly what the validating constructor makes of its terms."""
+    assert Scalar(r.params, r.terms).terms == r.terms
+    for exps, coeff in r.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert type(exps) is tuple and len(exps) == len(r.params)
+        assert all(type(e) is int and e >= 0 for e in exps)
+
+
 class TestProperties:
+    @given(_polys(), _polys(), st.integers(0, 3),
+           st.fractions(min_value=-9, max_value=9, max_denominator=5))
+    @settings(max_examples=60)
+    def test_ring_results_are_canonical(self, x, y, e, v):
+        point = x.substitute({"a": v, "b": 1 - v})
+        results = [x + y, x - y, -x, x * y, (x + y) * (x - y), x ** e,
+                   x + 0, 0 + x, x - 0, 0 - x, x + 1, 1 - x, 2 * x, x - x,
+                   x.substitute({"a": v}), point]
+        for r in results:
+            _assert_canonical(r)
+        assert x - y == x + (-y)
+        assert type(point.constant_value()) is Fraction
+        assert type((x - x).constant_value()) is Fraction
+
     @given(_polys())
     def test_print_parse_round_trip(self, s):
+        assert parse_scalar(str(s), s.params) == s
+
+    @given(_polys(max_exponent=10**6))
+    def test_print_parse_round_trip_high_degree(self, s):
         assert parse_scalar(str(s), s.params) == s
 
     @given(_polys())

@@ -165,7 +165,7 @@ class TestOracleAgreement:
         assert multi_hit >= 10
 
     def test_python_kernel_handles_big_scalars(self):
-        # entries far beyond the 64-bit guard force the pure kernel
+        # grid entries far beyond machine-word size stay exact in the one engine
         U = catalog_get("unital_field")
         big = 2**40
         cfg = SearchConfig([-big, 0, big], weight=0)
