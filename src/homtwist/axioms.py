@@ -1,38 +1,26 @@
 """Exact verification of twisted algebra identities on basis tuples.
 
 Every operation is bilinear and the twist is linear, so an identity holds on
-all of the algebra iff it holds on all basis tuples; the checkers below scan
-those tuples in lexicographic order and record the exact residual vector
-(left-hand side minus right-hand side) wherever it is nonzero.
-
-Residual orientations per identity id:
-
-* ``A1``   (x o y) o a(z) - a(x) o (y o z)            [twisted associator]
-* ``L1``   [x,y] + [y,x]                              [skew-symmetry]
-* ``L2``   [a(x),[y,z]] + [a(y),[z,x]] + [a(z),[x,y]] [twisted Jacobi sum]
-* ``PL``   A(x,y,z) - A(y,x,z) with A(x,y,z) = a(x)(yz) - (xy)a(z)
-* ``PR``   A(x,y,z) - A(x,z,y)
-* ``Z1``   (x o y) o a(z) - a(x) o (y o z) - a(x) o (z o y)
-* ``D1-D3``, ``T1-T7``  oriented exactly as displayed in their definitions
-* ``RB``   R(x) o R(y) - R(R(x) o y + x o R(y) + t x o y)
-* ``M:<op>``          a(x o y) - a(x) o a(y)
-* ``morphism:<op>``   f(x) o' f(y) - f(x o y); ``morphism:twist`` f(a(x)) - a'(f(x))
-* ``C1``   a(x o y) - a(x) o y;  ``C2``  a(x o y) - x o a(y)
+all of the algebra iff it holds on all basis tuples.  Each identity is a row of
+``_IDENTITIES``: its residual, left-hand side minus right-hand side, as a term.
+A term is an argument index (``X, Y, Z``), ``(map, t)``, ``(op, s, t)`` or a
+linear combination ``((c, t), ...)`` whose coefficients are rationals or the
+name of a bound Scalar.  Names are bound per check: ``o`` is the operation and
+``a`` the twist, ``l``, ``r``, ``d`` are left, right and dot, ``R`` and
+``theta`` the Rota-Baxter data; a scan group ``(arity, rows, names)`` may bind
+more, such as the operation of its ``M:<op>`` row.  One engine scans the
+basis tuples of each group in lexicographic order, evaluates the rows in turn
+on each tuple (so D1, D2 and D3 interleave) and records every nonzero residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import product
+from operator import add, sub
 
-from .core import (
-    BilinearOp,
-    HomAlgebra,
-    LinearMap,
-    basis_vector,
-    vec_add,
-    vec_is_zero,
-    vec_sub,
-)
+from .core import HomAlgebra, LinearMap, basis_vector, vec_is_zero, vec_scale
 from .scalar import Scalar
 
 __all__ = [
@@ -86,6 +74,74 @@ class AxiomReport:
         }
 
 
+# -- identities -------------------------------------------------------------------
+
+X, Y, Z = 0, 1, 2
+
+
+def _sum(*terms):
+    return tuple((1, t) for t in terms)
+
+
+def _diff(lhs, rhs):
+    return ((1, lhs), (-1, rhs))
+
+
+def _associator(x, y, z):
+    """a(x) o (y o z) - (x o y) o a(z)."""
+    return _diff(("o", ("a", x), ("o", y, z)), ("o", ("o", x, y), ("a", z)))
+
+
+_IDENTITIES = {
+    "A1": _diff(("o", ("o", X, Y), ("a", Z)), ("o", ("a", X), ("o", Y, Z))),
+    "L1": _sum(("o", X, Y), ("o", Y, X)),
+    "L2": _sum(("o", ("a", X), ("o", Y, Z)),
+               ("o", ("a", Y), ("o", Z, X)),
+               ("o", ("a", Z), ("o", X, Y))),
+    "PL": _diff(_associator(X, Y, Z), _associator(Y, X, Z)),
+    "PR": _diff(_associator(X, Y, Z), _associator(X, Z, Y)),
+    "Z1": ((1, ("o", ("o", X, Y), ("a", Z))),
+           (-1, ("o", ("a", X), ("o", Y, Z))),
+           (-1, ("o", ("a", X), ("o", Z, Y)))),
+    "D1": _diff(("l", ("l", X, Y), ("a", Z)),
+                ("l", ("a", X), _sum(("l", Y, Z), ("r", Y, Z)))),
+    "D2": _diff(("l", ("r", X, Y), ("a", Z)), ("r", ("a", X), ("l", Y, Z))),
+    "D3": _diff(("r", ("a", X), ("r", Y, Z)),
+                ("r", _sum(("l", X, Y), ("r", X, Y)), ("a", Z))),
+    "T1": _diff(("l", ("l", X, Y), ("a", Z)),
+                ("l", ("a", X), _sum(("l", Y, Z), ("r", Y, Z), ("d", Y, Z)))),
+    "T2": _diff(("l", ("r", X, Y), ("a", Z)), ("r", ("a", X), ("l", Y, Z))),
+    "T3": _diff(("r", ("a", X), ("r", Y, Z)),
+                ("r", _sum(("l", X, Y), ("r", X, Y), ("d", X, Y)), ("a", Z))),
+    "T4": _diff(("d", ("l", X, Y), ("a", Z)), ("d", ("a", X), ("r", Y, Z))),
+    "T5": _diff(("d", ("r", X, Y), ("a", Z)), ("r", ("a", X), ("d", Y, Z))),
+    "T6": _diff(("l", ("d", X, Y), ("a", Z)), ("d", ("a", X), ("l", Y, Z))),
+    "T7": _diff(("d", ("d", X, Y), ("a", Z)), ("d", ("a", X), ("d", Y, Z))),
+    "RB": _diff(("o", ("R", X), ("R", Y)),
+                ("R", ((1, ("o", ("R", X), Y)),
+                       (1, ("o", X, ("R", Y))),
+                       ("theta", ("o", X, Y))))),
+    "C1": _diff(("a", ("o", X, Y)), ("o", ("a", X), Y)),
+    "C2": _diff(("a", ("o", X, Y)), ("o", X, ("a", Y))),
+    # f carries A to B: a and a' are their twists
+    "morphism:twist": _diff(("f", ("a", X)), ("a'", ("f", X))),
+    # the star product of star_derived and the complement Rt = -theta id - R
+    "SD1": _diff(("R", ("*", X, Y)), ("o", ("R", X), ("R", Y))),
+    "SD2": _sum(("Rt", ("*", X, Y)), ("o", ("Rt", X), ("Rt", Y))),
+    # one scan group per operation o, which f carries to o' on B; the witness
+    # ids name the operation
+    "M:<op>": _diff(("a", ("o", X, Y)), ("o", ("a", X), ("a", Y))),
+    "morphism:<op>": _diff(("o'", ("f", X), ("f", Y)), ("f", ("o", X, Y))),
+}
+
+
+def _group(arity: int, *ids: str):
+    return arity, tuple((ident, _IDENTITIES[ident]) for ident in ids), {}
+
+
+# -- the residual engine --------------------------------------------------------
+
+
 class _Collector:
     """Gathers nonzero residuals, up to a witness cap, in scan order."""
 
@@ -108,56 +164,129 @@ class _Collector:
         return AxiomReport(self.name, not self.failed, self.witnesses)
 
 
-def _single_op(A: HomAlgebra) -> BilinearOp:
+# Bounded: the witness ids of M and morphism rows name operations, which
+# documents choose.
+@lru_cache(maxsize=256)
+def _compile(rows) -> tuple[list, frozenset]:
+    """Compile the rows of one group, once, into steps over one list of values.
+
+    A step maps (basis tuple, values so far, bound data) to a vector.  Each
+    distinct subterm is one step, so C1 and C2 share a(x o y); each row lists
+    only its new steps, so it is evaluated only when the scan reaches it.  A
+    basis argument costs no apply: it reads a pair, or a column of a map or of
+    the identity (None) that the data binds for each name in the returned set.
+    """
+    slots: dict = {}
+    columns = set()
+
+    def slot(term) -> int:
+        if term not in slots:
+            step = compile_step(term)
+            slots[term] = len(slots)
+            steps.append(step)
+        return slots[term]
+
+    def compile_step(term):
+        if isinstance(term, int):
+            term = (None, term)
+        if isinstance(term[0], tuple):  # a linear combination, summed left to right
+            *init, (c, last) = term
+            if not init:  # c * last
+                x = slot(last)
+                return lambda ix, v, d: vec_scale(d.get(c, c), v[x])
+            acc = slot(init[0][1] if len(init) == 1 and init[0][0] == 1 else tuple(init))
+            x = slot(last if c in (1, -1) else ((c, last),))
+            combine = sub if c == -1 else add
+            return lambda ix, v, d: tuple(map(combine, v[acc], v[x]))
+        name, *args = term
+        if all(isinstance(arg, int) for arg in args):
+            if len(args) == 1:
+                columns.add(name)
+                i = args[0]
+                return lambda ix, v, d: d[name, "columns"][ix[i]]
+            i, j = args
+            return lambda ix, v, d: d[name].c[ix[i]][ix[j]]
+        x = slot(args[0])
+        if len(args) == 1:
+            return lambda ix, v, d: d[name].apply(v[x])
+        y = slot(args[1])
+        return lambda ix, v, d: d[name].apply(v[x], v[y])
+
+    plan = []
+    for ident, term in rows:
+        steps: list = []
+        plan.append((ident, steps, slot(term)))
+    return plan, frozenset(columns)
+
+
+def _scan(name: str, groups, env: dict, A: HomAlgebra, cap: int) -> AxiomReport:
+    """Evaluate each group's rows on its basis tuples; stop at the witness cap."""
+    out = _Collector(name, cap)
+    for arity, rows, names in groups:
+        plan, columns = _compile(rows)
+        data = {**env, **names}
+        for f_name in columns:
+            f = data.get(f_name)
+            data[f_name, "columns"] = [f.col(i) if f else basis_vector(i, A.dim, A.params)
+                                       for i in range(A.dim)]
+        for ix in product(range(A.dim), repeat=arity):
+            values = []
+            for ident, steps, root in plan:
+                for step in steps:
+                    values.append(step(ix, values, data))
+                if not out.add(ident, ix, values[root]):
+                    return out.report()
+    return out.report()
+
+
+# -- checks -----------------------------------------------------------------------
+
+
+def _bind_single_op(A: HomAlgebra) -> dict:
     if len(A.ops) != 1:
         raise ValueError(
             f"check requires a single-operation algebra, got operations {sorted(A.ops)!r}"
         )
-    return A.op
+    return {"o": A.op, "a": A.alpha}
 
 
-def _hom_associator(op: BilinearOp, alpha: LinearMap, i: int, j: int, k: int):
-    """a(x) o (y o z) - (x o y) o a(z) on basis triple (i, j, k)."""
-    lhs = op.apply(alpha.col(i), op.pair(j, k))
-    rhs = op.apply(op.pair(i, j), alpha.col(k))
-    return vec_sub(lhs, rhs)
+# class -> (operations bound by letter, None for the single operation o; groups)
+_CLASSES = {
+    "hom-associative": (None, (_group(3, "A1"),)),
+    "hom-lie": (None, (_group(2, "L1"), _group(3, "L2"))),
+    "hom-prelie-left": (None, (_group(3, "PL"),)),
+    "hom-prelie-right": (None, (_group(3, "PR"),)),
+    "hom-zinbiel": (None, (_group(3, "Z1"),)),
+    "hom-dendriform": ({"l": "left", "r": "right"}, (_group(3, "D1", "D2", "D3"),)),
+    "hom-tridendriform": ({"l": "left", "r": "right", "d": "dot"},
+                          (_group(3, "T1", "T2", "T3", "T4", "T5", "T6", "T7"),)),
+}
+
+CLASS_CHECK_NAMES = tuple(
+    sorted([*_CLASSES, *(name.removeprefix("hom-") for name in _CLASSES),
+            "multiplicative", "rota-baxter"])
+)
+
+
+def _bind(A: HomAlgebra, hom: str, ops: dict | None) -> dict:
+    if ops is None:
+        return _bind_single_op(A)
+    if set(A.ops) != set(ops.values()):
+        *first, last = map(repr, ops.values())
+        raise ValueError(
+            f"{hom.removeprefix('hom-')} check requires operations {', '.join(first)} and {last}"
+        )
+    return {"a": A.alpha, **{letter: A.ops[op] for letter, op in ops.items()}}
 
 
 def check_hom_associative(A: HomAlgebra, *, cap: int = DEFAULT_WITNESS_CAP) -> AxiomReport:
     """(x o y) o a(z) = a(x) o (y o z) on all basis triples."""
-    op = _single_op(A)
-    out = _Collector("hom-associative", cap)
-    d = A.dim
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                res = vec_sub(
-                    op.apply(op.pair(i, j), A.alpha.col(k)),
-                    op.apply(A.alpha.col(i), op.pair(j, k)),
-                )
-                if not out.add("A1", (i, j, k), res):
-                    return out.report()
-    return out.report()
+    return check_class(A, "hom-associative", cap=cap)
 
 
 def check_hom_lie(A: HomAlgebra, *, cap: int = DEFAULT_WITNESS_CAP) -> AxiomReport:
     """Skew-symmetry on all pairs, then the cyclic twisted Jacobi sum on all triples."""
-    op = _single_op(A)
-    out = _Collector("hom-lie", cap)
-    d = A.dim
-    for i in range(d):
-        for j in range(d):
-            if not out.add("L1", (i, j), vec_add(op.pair(i, j), op.pair(j, i))):
-                return out.report()
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                res = op.apply(A.alpha.col(i), op.pair(j, k))
-                res = vec_add(res, op.apply(A.alpha.col(j), op.pair(k, i)))
-                res = vec_add(res, op.apply(A.alpha.col(k), op.pair(i, j)))
-                if not out.add("L2", (i, j, k), res):
-                    return out.report()
-    return out.report()
+    return check_class(A, "hom-lie", cap=cap)
 
 
 def check_hom_prelie(A: HomAlgebra, side: str = "left", *, cap: int = DEFAULT_WITNESS_CAP) -> AxiomReport:
@@ -165,106 +294,22 @@ def check_hom_prelie(A: HomAlgebra, side: str = "left", *, cap: int = DEFAULT_WI
     right: symmetric in its last two."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    op = _single_op(A)
-    out = _Collector(f"hom-prelie-{side}", cap)
-    ident = "PL" if side == "left" else "PR"
-    d = A.dim
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                first = _hom_associator(op, A.alpha, i, j, k)
-                if side == "left":
-                    second = _hom_associator(op, A.alpha, j, i, k)
-                else:
-                    second = _hom_associator(op, A.alpha, i, k, j)
-                if not out.add(ident, (i, j, k), vec_sub(first, second)):
-                    return out.report()
-    return out.report()
+    return check_class(A, f"hom-prelie-{side}", cap=cap)
 
 
 def check_hom_zinbiel(A: HomAlgebra, *, cap: int = DEFAULT_WITNESS_CAP) -> AxiomReport:
     """(x o y) o a(z) = a(x) o (y o z) + a(x) o (z o y)."""
-    op = _single_op(A)
-    out = _Collector("hom-zinbiel", cap)
-    d = A.dim
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                res = op.apply(op.pair(i, j), A.alpha.col(k))
-                res = vec_sub(res, op.apply(A.alpha.col(i), op.pair(j, k)))
-                res = vec_sub(res, op.apply(A.alpha.col(i), op.pair(k, j)))
-                if not out.add("Z1", (i, j, k), res):
-                    return out.report()
-    return out.report()
+    return check_class(A, "hom-zinbiel", cap=cap)
 
 
 def check_hom_dendriform(A: HomAlgebra, *, cap: int = DEFAULT_WITNESS_CAP) -> AxiomReport:
     """The three twisted axioms relating the left and right operations."""
-    if set(A.ops) != {"left", "right"}:
-        raise ValueError("dendriform check requires operations 'left' and 'right'")
-    lt, rt = A.ops["left"], A.ops["right"]
-    a = A.alpha
-    out = _Collector("hom-dendriform", cap)
-    d = A.dim
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                d1 = vec_sub(
-                    lt.apply(lt.pair(i, j), a.col(k)),
-                    lt.apply(a.col(i), vec_add(lt.pair(j, k), rt.pair(j, k))),
-                )
-                if not out.add("D1", (i, j, k), d1):
-                    return out.report()
-                d2 = vec_sub(
-                    lt.apply(rt.pair(i, j), a.col(k)),
-                    rt.apply(a.col(i), lt.pair(j, k)),
-                )
-                if not out.add("D2", (i, j, k), d2):
-                    return out.report()
-                d3 = vec_sub(
-                    rt.apply(a.col(i), rt.pair(j, k)),
-                    rt.apply(vec_add(lt.pair(i, j), rt.pair(i, j)), a.col(k)),
-                )
-                if not out.add("D3", (i, j, k), d3):
-                    return out.report()
-    return out.report()
+    return check_class(A, "hom-dendriform", cap=cap)
 
 
 def check_hom_tridendriform(A: HomAlgebra, *, cap: int = DEFAULT_WITNESS_CAP) -> AxiomReport:
     """The seven twisted axioms relating left, right and dot."""
-    if set(A.ops) != {"left", "right", "dot"}:
-        raise ValueError(
-            "tridendriform check requires operations 'left', 'right' and 'dot'"
-        )
-    lt, rt, dt = A.ops["left"], A.ops["right"], A.ops["dot"]
-    a = A.alpha
-    out = _Collector("hom-tridendriform", cap)
-    d = A.dim
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                triple_sum_jk = vec_add(vec_add(lt.pair(j, k), rt.pair(j, k)), dt.pair(j, k))
-                triple_sum_ij = vec_add(vec_add(lt.pair(i, j), rt.pair(i, j)), dt.pair(i, j))
-                checks = (
-                    ("T1", vec_sub(lt.apply(lt.pair(i, j), a.col(k)),
-                                   lt.apply(a.col(i), triple_sum_jk))),
-                    ("T2", vec_sub(lt.apply(rt.pair(i, j), a.col(k)),
-                                   rt.apply(a.col(i), lt.pair(j, k)))),
-                    ("T3", vec_sub(rt.apply(a.col(i), rt.pair(j, k)),
-                                   rt.apply(triple_sum_ij, a.col(k)))),
-                    ("T4", vec_sub(dt.apply(lt.pair(i, j), a.col(k)),
-                                   dt.apply(a.col(i), rt.pair(j, k)))),
-                    ("T5", vec_sub(dt.apply(rt.pair(i, j), a.col(k)),
-                                   rt.apply(a.col(i), dt.pair(j, k)))),
-                    ("T6", vec_sub(lt.apply(dt.pair(i, j), a.col(k)),
-                                   dt.apply(a.col(i), lt.pair(j, k)))),
-                    ("T7", vec_sub(dt.apply(dt.pair(i, j), a.col(k)),
-                                   dt.apply(a.col(i), dt.pair(j, k)))),
-                )
-                for ident, res in checks:
-                    if not out.add(ident, (i, j, k), res):
-                        return out.report()
-    return out.report()
+    return check_class(A, "hom-tridendriform", cap=cap)
 
 
 def check_rota_baxter(
@@ -290,35 +335,15 @@ def check_rota_baxter(
         theta = Scalar.constant(theta, A.params)
     if R.dim != A.dim:
         raise ValueError("dimension mismatch between operator and algebra")
-    out = _Collector("rota-baxter", cap)
-    d = A.dim
-    rcols = [R.col(i) for i in range(d)]
-    for i in range(d):
-        ei = basis_vector(i, d, A.params)
-        for j in range(d):
-            ej = basis_vector(j, d, A.params)
-            lhs = op.apply(rcols[i], rcols[j])
-            inner = vec_add(op.apply(rcols[i], ej), op.apply(ei, rcols[j]))
-            inner = vec_add(inner, tuple(theta * s for s in op.pair(i, j)))
-            res = vec_sub(lhs, R.apply(inner))
-            if not out.add("RB", (i, j), res):
-                return out.report()
-    return out.report()
+    env = {"o": op, "R": R, "theta": theta}
+    return _scan("rota-baxter", (_group(2, "RB"),), env, A, cap)
 
 
 def check_multiplicative(A: HomAlgebra, *, cap: int = DEFAULT_WITNESS_CAP) -> AxiomReport:
     """a(x o y) = a(x) o a(y) for every operation, on all basis pairs."""
-    out = _Collector("multiplicative", cap)
-    d = A.dim
-    acols = [A.alpha.col(i) for i in range(d)]
-    for name in A.signature.op_names:
-        op = A.ops[name]
-        for i in range(d):
-            for j in range(d):
-                res = vec_sub(A.alpha.apply(op.pair(i, j)), op.apply(acols[i], acols[j]))
-                if not out.add(f"M:{name}", (i, j), res):
-                    return out.report()
-    return out.report()
+    groups = [(2, ((f"M:{name}", _IDENTITIES["M:<op>"]),), {"o": A.ops[name]})
+              for name in A.signature.op_names]
+    return _scan("multiplicative", groups, {"a": A.alpha}, A, cap)
 
 
 def check_morphism(
@@ -329,21 +354,10 @@ def check_morphism(
         raise ValueError("signature mismatch between source and target")
     if A.dim != B.dim or f.dim != A.dim:
         raise ValueError("dimension mismatch")
-    out = _Collector("morphism", cap)
-    d = A.dim
-    fcols = [f.col(i) for i in range(d)]
-    for name in A.signature.op_names:
-        opA, opB = A.ops[name], B.ops[name]
-        for i in range(d):
-            for j in range(d):
-                res = vec_sub(opB.apply(fcols[i], fcols[j]), f.apply(opA.pair(i, j)))
-                if not out.add(f"morphism:{name}", (i, j), res):
-                    return out.report()
-    for i in range(d):
-        res = vec_sub(f.apply(A.alpha.col(i)), B.alpha.apply(fcols[i]))
-        if not out.add("morphism:twist", (i,), res):
-            return out.report()
-    return out.report()
+    groups = [(2, ((f"morphism:{name}", _IDENTITIES["morphism:<op>"]),),
+               {"o": A.ops[name], "o'": B.ops[name]}) for name in A.signature.op_names]
+    groups.append(_group(1, "morphism:twist"))
+    return _scan("morphism", groups, {"f": f, "a": A.alpha, "a'": B.alpha}, A, cap)
 
 
 def check_centroid(alpha: LinearMap, A: HomAlgebra, *, cap: int = DEFAULT_WITNESS_CAP) -> AxiomReport:
@@ -352,61 +366,23 @@ def check_centroid(alpha: LinearMap, A: HomAlgebra, *, cap: int = DEFAULT_WITNES
     For brackets the second equality follows from the first by skew-symmetry;
     it is checked regardless.
     """
-    op = _single_op(A)
+    env = _bind_single_op(A)
     if alpha.dim != A.dim:
         raise ValueError("dimension mismatch")
-    out = _Collector("centroid", cap)
-    d = A.dim
-    acols = [alpha.col(i) for i in range(d)]
-    for i in range(d):
-        ei = basis_vector(i, d, A.params)
-        for j in range(d):
-            ej = basis_vector(j, d, A.params)
-            image = alpha.apply(op.pair(i, j))
-            if not out.add("C1", (i, j), vec_sub(image, op.apply(acols[i], ej))):
-                return out.report()
-            if not out.add("C2", (i, j), vec_sub(image, op.apply(ei, acols[j]))):
-                return out.report()
-    return out.report()
-
-
-# -- class dispatch -------------------------------------------------------------
-
-_HOM_CHECKS = {
-    "hom-associative": lambda A, cap: check_hom_associative(A, cap=cap),
-    "hom-lie": lambda A, cap: check_hom_lie(A, cap=cap),
-    "hom-prelie-left": lambda A, cap: check_hom_prelie(A, "left", cap=cap),
-    "hom-prelie-right": lambda A, cap: check_hom_prelie(A, "right", cap=cap),
-    "hom-zinbiel": lambda A, cap: check_hom_zinbiel(A, cap=cap),
-    "hom-dendriform": lambda A, cap: check_hom_dendriform(A, cap=cap),
-    "hom-tridendriform": lambda A, cap: check_hom_tridendriform(A, cap=cap),
-}
-
-_CLASSICAL_OF = {
-    "associative": "hom-associative",
-    "lie": "hom-lie",
-    "prelie-left": "hom-prelie-left",
-    "prelie-right": "hom-prelie-right",
-    "zinbiel": "hom-zinbiel",
-    "dendriform": "hom-dendriform",
-    "tridendriform": "hom-tridendriform",
-}
-
-CLASS_CHECK_NAMES = tuple(
-    sorted([*_HOM_CHECKS, *_CLASSICAL_OF, "multiplicative", "rota-baxter"])
-)
+    env["a"] = alpha
+    return _scan("centroid", (_group(2, "C1", "C2"),), env, A, cap)
 
 
 def check_class(A: HomAlgebra, class_name: str, *, cap: int = DEFAULT_WITNESS_CAP) -> AxiomReport:
     """Run the named identity check; classical names force an identity twist."""
-    if class_name in _HOM_CHECKS:
-        return _HOM_CHECKS[class_name](A, cap)
-    if class_name in _CLASSICAL_OF:
-        report = check_class(A.with_identity_twist(), _CLASSICAL_OF[class_name], cap=cap)
-        report.name = class_name
-        return report
     if class_name == "multiplicative":
         return check_multiplicative(A, cap=cap)
     if class_name == "rota-baxter":
         return check_rota_baxter(A, cap=cap)
-    raise ValueError(f"unknown check {class_name!r}; known: {CLASS_CHECK_NAMES}")
+    hom = class_name if class_name in _CLASSES else f"hom-{class_name}"
+    if hom not in _CLASSES:
+        raise ValueError(f"unknown check {class_name!r}; known: {CLASS_CHECK_NAMES}")
+    if hom != class_name:
+        A = A.with_identity_twist()
+    ops, groups = _CLASSES[hom]
+    return _scan(class_name, groups, _bind(A, hom, ops), A, cap)

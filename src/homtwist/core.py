@@ -33,7 +33,6 @@ __all__ = [
     "vec_sub",
     "vec_scale",
     "vec_is_zero",
-    "zero_vector",
     "basis_vector",
 ]
 
@@ -49,11 +48,6 @@ def _coerce_scalar(value, params: tuple[str, ...]) -> Scalar:
 
 
 # -- vectors ------------------------------------------------------------------
-
-
-def zero_vector(dim: int, params: tuple[str, ...] = ()) -> tuple[Scalar, ...]:
-    z = Scalar.zero(params)
-    return (z,) * dim
 
 
 def basis_vector(i: int, dim: int, params: tuple[str, ...] = ()) -> tuple[Scalar, ...]:
@@ -407,10 +401,6 @@ class Signature:
             raise ValueError(
                 "tridendriform signature requires operations 'left', 'right' and 'dot'"
             )
-
-    @property
-    def one_op(self) -> bool:
-        return len(self.op_names) == 1
 
     @classmethod
     def associative(cls, op: str = "mul") -> "Signature":

@@ -36,6 +36,10 @@ _ZERO = Fraction(0)
 #: coefficient beyond those of 1; a power of ``a`` or ``-a`` costs nothing.
 MAX_POWER_BITS = 100_000
 
+#: Deepest nesting of parentheses and unary minus signs that the parser reads;
+#: each level costs a few interpreter frames.
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
     """Raised on malformed scalar expressions; carries the offending position."""
@@ -107,6 +111,15 @@ def _check_power(coefficients: Collection[Fraction], exponent: int) -> None:
             f"a power of a {t}-term polynomial exceeds the size bound of "
             f"{MAX_POWER_BITS} bits"
         )
+
+
+def _product_bits(x: "Scalar", y: "Scalar") -> int:
+    """Estimated size of ``x * y``: term counts multiplied, times the largest
+    coefficient sizes in bits added."""
+    def bits(s):
+        return max((c.numerator.bit_length() + c.denominator.bit_length()
+                    for c in s.terms.values()), default=0)
+    return len(x.terms) * len(y.terms) * (bits(x) + bits(y))
 
 
 def _rational_power(value: Fraction, exponent: int) -> Fraction:
@@ -405,6 +418,7 @@ class _Parser:
         self.params = params
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self):
         if self.index < len(self.tokens):
@@ -415,6 +429,15 @@ class _Parser:
         tok = self.peek()
         self.index += 1
         return tok
+
+    def nested(self, parse, pos: int) -> Scalar:
+        """``parse()`` one level deeper, refused past ``MAX_NESTING`` levels."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def expect_op(self, op: str):
         kind, value, pos = self.take()
@@ -442,10 +465,14 @@ class _Parser:
     def term(self) -> Scalar:
         value = self.factor()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text == "*":
                 self.take()
-                value = value * self.factor()
+                rhs = self.factor()
+                if _product_bits(value, rhs) > MAX_POWER_BITS:
+                    raise ParseError(
+                        f"a product exceeds the size bound of {MAX_POWER_BITS} bits", pos)
+                value = value * rhs
             else:
                 return value
 
@@ -453,7 +480,7 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.take()
-            return -self.factor()
+            return -self.nested(self.factor, pos)
         value = self.atom()
         kind, text, pos = self.peek()
         if kind == "op" and text == "^":
@@ -490,7 +517,7 @@ class _Parser:
                 raise ParseError(f"unknown identifier {text!r}", pos)
             return Scalar.variable(text, self.params)
         if kind == "op" and text == "(":
-            value = self.expr()
+            value = self.nested(self.expr, pos)
             self.expect_op(")")
             return value
         raise ParseError(f"unexpected {text!r}" if kind else "unexpected end of input", pos)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,13 +18,20 @@ from homtwist.axioms import (
     check_rota_baxter,
 )
 from homtwist.catalog import catalog_get
-from homtwist.constructions import dendriform_star, embed_dendriform_as_tridendriform, yau_twist
+from homtwist.constructions import (
+    dendriform_star,
+    embed_dendriform_as_tridendriform,
+    star_derived,
+    yau_twist,
+)
 from homtwist.core import (
     BilinearOp,
     HomAlgebra,
     LinearMap,
     RotaBaxter,
     Signature,
+    vec_add,
+    vec_scale,
     vec_sub,
 )
 from homtwist.scalar import Scalar
@@ -329,6 +337,175 @@ class TestClassDispatch:
         assert check_class(_zinbiel2(), "zinbiel").passed
 
 
+def _random_op(rng, d):
+    return BilinearOp([[[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+                       for _ in range(d)])
+
+
+def _random_map(rng, d):
+    return LinearMap([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+
+
+def _random_bundle(rng, d):
+    """Random operations and maps, with no identity expected to hold."""
+    return {"dim": d, **{name: _random_op(rng, d) for name in ("o", "l", "r", "d", "o2", "p2")},
+            **{name: _random_map(rng, d) for name in ("a", "R", "f", "b")},
+            "theta": Scalar.constant(Fraction(rng.choice([-3, -1, 2, 5]), 2))}
+
+
+def _sum(*vectors):
+    total = vectors[0]
+    for v in vectors[1:]:
+        total = vec_add(total, v)
+    return total
+
+
+def _one_op_formulas(checker, formula, arity=3):
+    def build(b):
+        A = HomAlgebra(b["dim"], (), Signature.plain(("mul",)), {"mul": b["o"]}, b["a"])
+        o, a = b["o"].apply, b["a"].apply
+        return arity, lambda cap: checker(A, cap=cap), lambda *xs: formula(o, a, *xs)
+    return build
+
+
+def _associator(o, a, x, y, z):
+    return vec_sub(o(a(x), o(y, z)), o(o(x, y), a(z)))
+
+
+def _split_formulas(ops, formula):
+    def build(b):
+        names = ("left", "right", "dot")[:len(ops)]
+        sig = Signature.dendriform() if len(ops) == 2 else Signature.tridendriform()
+        A = HomAlgebra(b["dim"], (), sig, {n: b[k] for n, k in zip(names, ops)}, b["a"])
+        checker = check_hom_dendriform if len(ops) == 2 else check_hom_tridendriform
+        applies = [b[k].apply for k in ops]
+        return 3, lambda cap: checker(A, cap=cap), lambda x, y, z: formula(
+            *applies, b["a"].apply, x, y, z)
+    return build
+
+
+def _two_op_algebras(b):
+    sig = Signature.plain(("mul", "circ"))
+    A = HomAlgebra(b["dim"], (), sig, {"mul": b["o"], "circ": b["d"]}, b["a"])
+    B = HomAlgebra(b["dim"], (), sig, {"mul": b["o2"], "circ": b["p2"]}, b["b"])
+    return A, B
+
+
+def _multiplicative_formula(op_key):
+    def build(b):
+        A, _ = _two_op_algebras(b)
+        p, a = b[op_key].apply, b["a"].apply
+        return 2, lambda cap: check_multiplicative(A, cap=cap), lambda x, y: vec_sub(
+            a(p(x, y)), p(a(x), a(y)))
+    return build
+
+
+def _morphism_formula(op_key, target_key):
+    def build(b):
+        A, B = _two_op_algebras(b)
+        p, q, f = b[op_key].apply, b[target_key].apply, b["f"].apply
+        return 2, lambda cap: check_morphism(b["f"], A, B, cap=cap), lambda x, y: vec_sub(
+            q(f(x), f(y)), f(p(x, y)))
+    return build
+
+
+def _morphism_twist(b):
+    A, B = _two_op_algebras(b)
+    f, a, a2 = b["f"].apply, b["a"].apply, b["b"].apply
+    return 1, lambda cap: check_morphism(b["f"], A, B, cap=cap), lambda x: vec_sub(
+        f(a(x)), a2(f(x)))
+
+
+def _rota_baxter(b):
+    A = HomAlgebra(b["dim"], (), Signature.plain(("mul",)), {"mul": b["o"]}, b["a"])
+    o, R, t = b["o"].apply, b["R"].apply, b["theta"]
+    return 2, lambda cap: check_rota_baxter(A, R=b["R"], theta=t, cap=cap), lambda x, y: vec_sub(
+        o(R(x), R(y)), R(_sum(o(R(x), y), o(x, R(y)), vec_scale(t, o(x, y)))))
+
+
+def _centroid(first):
+    def build(b):
+        A = HomAlgebra(b["dim"], (), Signature.plain(("mul",)), {"mul": b["o"]}, b["a"])
+        o, a = b["o"].apply, b["f"].apply
+        if first:
+            formula = lambda x, y: vec_sub(a(o(x, y)), o(a(x), y))  # noqa: E731
+        else:
+            formula = lambda x, y: vec_sub(a(o(x, y)), o(x, a(y)))  # noqa: E731
+        return 2, lambda cap: check_centroid(b["f"], A, cap=cap), formula
+    return build
+
+
+def _star_derived(first):
+    def build(b):
+        t = b["theta"]
+        A = HomAlgebra(b["dim"], (), Signature.associative(), {"mul": b["o"]}, b["a"],
+                       RotaBaxter(t, b["R"]))
+        o, R = b["o"].apply, b["R"].apply
+
+        def Rt(x):
+            return vec_sub(vec_scale(-t, x), R(x))
+
+        def star(x, y):
+            return _sum(o(x, R(y)), o(R(x), y), vec_scale(t, o(x, y)))
+
+        if first:
+            formula = lambda x, y: vec_sub(R(star(x, y)), o(R(x), R(y)))  # noqa: E731
+        else:
+            formula = lambda x, y: vec_add(Rt(star(x, y)), o(Rt(x), Rt(y)))  # noqa: E731
+        # star_derived reports at the default cap; d = 2 leaves room for all
+        return 2, lambda cap: star_derived(A, force=True)[1], formula
+    return build
+
+
+_FORMULAS = {
+    "A1": _one_op_formulas(check_hom_associative, lambda o, a, x, y, z: vec_sub(
+        o(o(x, y), a(z)), o(a(x), o(y, z)))),
+    "L1": _one_op_formulas(check_hom_lie, lambda o, a, x, y: vec_add(o(x, y), o(y, x)),
+                           arity=2),
+    "L2": _one_op_formulas(check_hom_lie, lambda o, a, x, y, z: _sum(
+        o(a(x), o(y, z)), o(a(y), o(z, x)), o(a(z), o(x, y)))),
+    "PL": _one_op_formulas(lambda A, cap: check_hom_prelie(A, "left", cap=cap),
+                           lambda o, a, x, y, z: vec_sub(_associator(o, a, x, y, z),
+                                                         _associator(o, a, y, x, z))),
+    "PR": _one_op_formulas(lambda A, cap: check_hom_prelie(A, "right", cap=cap),
+                           lambda o, a, x, y, z: vec_sub(_associator(o, a, x, y, z),
+                                                         _associator(o, a, x, z, y))),
+    "Z1": _one_op_formulas(check_hom_zinbiel, lambda o, a, x, y, z: vec_sub(
+        vec_sub(o(o(x, y), a(z)), o(a(x), o(y, z))), o(a(x), o(z, y)))),
+    "D1": _split_formulas(("l", "r"), lambda l, r, a, x, y, z: vec_sub(
+        l(l(x, y), a(z)), l(a(x), vec_add(l(y, z), r(y, z))))),
+    "D2": _split_formulas(("l", "r"), lambda l, r, a, x, y, z: vec_sub(
+        l(r(x, y), a(z)), r(a(x), l(y, z)))),
+    "D3": _split_formulas(("l", "r"), lambda l, r, a, x, y, z: vec_sub(
+        r(a(x), r(y, z)), r(vec_add(l(x, y), r(x, y)), a(z)))),
+    "T1": _split_formulas(("l", "r", "d"), lambda l, r, d, a, x, y, z: vec_sub(
+        l(l(x, y), a(z)), l(a(x), _sum(l(y, z), r(y, z), d(y, z))))),
+    "T2": _split_formulas(("l", "r", "d"), lambda l, r, d, a, x, y, z: vec_sub(
+        l(r(x, y), a(z)), r(a(x), l(y, z)))),
+    "T3": _split_formulas(("l", "r", "d"), lambda l, r, d, a, x, y, z: vec_sub(
+        r(a(x), r(y, z)), r(_sum(l(x, y), r(x, y), d(x, y)), a(z)))),
+    "T4": _split_formulas(("l", "r", "d"), lambda l, r, d, a, x, y, z: vec_sub(
+        d(l(x, y), a(z)), d(a(x), r(y, z)))),
+    "T5": _split_formulas(("l", "r", "d"), lambda l, r, d, a, x, y, z: vec_sub(
+        d(r(x, y), a(z)), r(a(x), d(y, z)))),
+    "T6": _split_formulas(("l", "r", "d"), lambda l, r, d, a, x, y, z: vec_sub(
+        l(d(x, y), a(z)), d(a(x), l(y, z)))),
+    "T7": _split_formulas(("l", "r", "d"), lambda l, r, d, a, x, y, z: vec_sub(
+        d(d(x, y), a(z)), d(a(x), d(y, z)))),
+    "RB": _rota_baxter,
+    "M:mul": _multiplicative_formula("o"),
+    "M:circ": _multiplicative_formula("d"),
+    "morphism:mul": _morphism_formula("o", "o2"),
+    "morphism:circ": _morphism_formula("d", "p2"),
+    "morphism:twist": _morphism_twist,
+    "C1": _centroid(True),
+    "C2": _centroid(False),
+    "SD1": _star_derived(True),
+    "SD2": _star_derived(False),
+}
+_IDENTITY_IDS = list(_FORMULAS)
+
+
 class TestMultilinearityReduction:
     def test_vector_residual_matches_basis_combination(self):
         rng = random.Random(3)
@@ -355,6 +532,32 @@ class TestMultilinearityReduction:
                         for t, r in enumerate(residual(i, j, k)):
                             combo[t] = combo[t] + coeff * r
             assert tuple(combo) == direct
+
+    @pytest.mark.parametrize("ident", _IDENTITY_IDS)
+    def test_every_identity_is_its_vector_formula(self, ident):
+        # Each identity written directly on random vectors equals the
+        # multilinear combination of the checker's basis residuals.
+        rng = random.Random(11)
+        bundle = _random_bundle(rng, 2)
+        arity, run, direct = _FORMULAS[ident](bundle)
+        report = run(cap=10**6)
+        residuals = {w.indices: w.residual
+                     for w in report.witnesses if w.identity_id == ident}
+        assert residuals, "random data should break every identity somewhere"
+        d = bundle["dim"]
+        for _ in range(2):
+            vectors = [[Scalar.constant(rng.randint(-3, 3)) for _ in range(d)]
+                       for _ in range(arity)]
+            combo = (Scalar.zero(),) * d
+            for indices in itertools.product(range(d), repeat=arity):
+                coeff = Scalar.one()
+                for vector, i in zip(vectors, indices):
+                    coeff = coeff * vector[i]
+                residual = residuals.get(indices, (Scalar.zero(),) * d)
+                combo = vec_add(combo, vec_scale(coeff, residual))
+            assert combo == direct(*vectors)
+
+
 
 
 class TestPipelineProperty:

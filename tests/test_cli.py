@@ -261,6 +261,43 @@ class TestEval:
         code, out, _ = run(capsys, "eval", out.strip(), "--params", "a")
         assert (code, out) == (0, "a^101\n")
 
+    def test_deep_nesting_refused(self, capsys):
+        for argv in (["eval", "(" * 400 + "a" + ")" * 400, "--params", "a"],
+                     ["eval", "--params", "a", "--", "-" * 3000 + "a"],
+                     ["eval", "--params", "a", "--", "-(" * 60 + "a" + ")" * 60]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "nesting deeper than 100 levels (at position 100)" in err
+            assert "Traceback" not in err
+
+    def test_nesting_at_the_bound_accepted(self, capsys):
+        code, out, _ = run(capsys, "eval", "(" * 100 + "a" + ")" * 100, "--params", "a")
+        assert (code, out) == (0, "a\n")
+        code, out, _ = run(capsys, "eval", "--params", "a", "--", "-" * 100 + "a")
+        assert (code, out) == (0, "a\n")
+
+    def test_huge_product_refused(self, capsys, monkeypatch):
+        from homtwist.scalar import Scalar
+
+        largest = []
+        multiply = Scalar.__mul__
+
+        def counting(self, other):
+            if isinstance(other, Scalar):
+                largest.append(len(self.terms) * len(other.terms))
+            return multiply(self, other)
+
+        monkeypatch.setattr(Scalar, "__mul__", counting)
+        code, out, err = run(capsys, "eval", "(1+a)^100*(1+b)^100*(1+c)^10",
+                             "--params", "a,b,c")
+        assert code == 2
+        assert out == ""
+        assert "product exceeds the size bound" in err and "position 9" in err
+        assert max(largest) < 101 * 101  # refused before the first product
+        code, out, _ = run(capsys, "eval", "(1+a)^100*(1+b)", "--params", "a,b")
+        assert code == 0 and out.startswith("a^100*b + a^100 + ")
+
     # the grammar's tokens, with an unknown name and exponents past the size bound
     _TOKENS = ["0", "1", "2", "7", "99999999", "a", "b", "c", "+", "-", "*", "/", "^",
                "(", ")", " "]
@@ -356,6 +393,16 @@ class TestDocuments:
         for labels in ("x", 5, [1]):
             with pytest.raises(ValueError, match="labels"):
                 from_document(dict(doc, labels=labels))
+
+    def test_deeply_nested_entry_refused(self, capsys, tmp_path):
+        doc = to_document(catalog_get("unital_field"))
+        doc["alpha"] = [["(" * 400 + "1" + ")" * 400]]
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path), "--class", "associative")
+        assert code == 2
+        assert out == ""
+        assert "nesting deeper than 100 levels" in err and "Traceback" not in err
 
     def test_labels_survive(self):
         A = catalog_get("ex_assoc3")
