@@ -7,10 +7,12 @@ A term is an argument index (``X, Y, Z``), ``(map, t)``, ``(op, s, t)`` or a
 linear combination ``((c, t), ...)`` whose coefficients are rationals or the
 name of a bound Scalar.  Names are bound per check: ``o`` is the operation and
 ``a`` the twist, ``l``, ``r``, ``d`` are left, right and dot, ``R`` and
-``theta`` the Rota-Baxter data; a scan group ``(arity, rows, names)`` may bind
-more, such as the operation of its ``M:<op>`` row.  One engine scans the
-basis tuples of each group in lexicographic order, evaluates the rows in turn
-on each tuple (so D1, D2 and D3 interleave) and records every nonzero residual.
+``theta`` the Rota-Baxter data; a scan group ``(arity, compiled rows, names)``
+may bind more, such as the operation of its ``M:<op>`` row.  One engine scans
+the basis tuples of each group in lexicographic order, evaluates the rows in
+turn on each tuple (so D1, D2 and D3 interleave) and records every nonzero
+residual.  ``_expand`` reads the same rows with one map unknown: they give the
+equations of the Rota-Baxter search and of the centroid solve.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from operator import add, sub
+from operator import add, attrgetter, sub
 
 from .core import HomAlgebra, LinearMap, basis_vector, vec_is_zero, vec_scale
 from .scalar import Scalar
@@ -135,38 +137,9 @@ _IDENTITIES = {
 }
 
 
-def _group(arity: int, *ids: str):
-    return arity, tuple((ident, _IDENTITIES[ident]) for ident in ids), {}
-
-
 # -- the residual engine --------------------------------------------------------
 
 
-class _Collector:
-    """Gathers nonzero residuals, up to a witness cap, in scan order."""
-
-    def __init__(self, name: str, cap: int):
-        self.name = name
-        self.cap = cap
-        self.witnesses: list[Witness] = []
-        self.failed = False
-
-    def add(self, identity_id: str, indices: tuple[int, ...], residual) -> bool:
-        """Record a nonzero residual; returns False once the cap is reached."""
-        if vec_is_zero(residual):
-            return True
-        self.failed = True
-        if len(self.witnesses) < self.cap:
-            self.witnesses.append(Witness(identity_id, indices, tuple(residual)))
-        return len(self.witnesses) < self.cap
-
-    def report(self) -> AxiomReport:
-        return AxiomReport(self.name, not self.failed, self.witnesses)
-
-
-# Bounded: the witness ids of M and morphism rows name operations, which
-# documents choose.
-@lru_cache(maxsize=256)
 def _compile(rows) -> tuple[list, frozenset]:
     """Compile the rows of one group, once, into steps over one list of values.
 
@@ -202,8 +175,8 @@ def _compile(rows) -> tuple[list, frozenset]:
         if all(isinstance(arg, int) for arg in args):
             if len(args) == 1:
                 columns.add(name)
-                i = args[0]
-                return lambda ix, v, d: d[name, "columns"][ix[i]]
+                key, i = (name, "columns"), args[0]
+                return lambda ix, v, d: d[key][ix[i]]
             i, j = args
             return lambda ix, v, d: d[name].c[ix[i]][ix[j]]
         x = slot(args[0])
@@ -215,28 +188,125 @@ def _compile(rows) -> tuple[list, frozenset]:
     plan = []
     for ident, term in rows:
         steps: list = []
-        plan.append((ident, steps, slot(term)))
+        # lhs - rhs: the scan compares the sides and subtracts only for a witness
+        if isinstance(term[0], tuple) and [c for c, _ in term] == [1, -1]:
+            plan.append((ident, steps, slot(term[0][1]), slot(term[1][1])))
+        else:
+            plan.append((ident, steps, slot(term), None))
     return plan, frozenset(columns)
 
 
-def _scan(name: str, groups, env: dict, A: HomAlgebra, cap: int) -> AxiomReport:
-    """Evaluate each group's rows on its basis tuples; stop at the witness cap."""
-    out = _Collector(name, cap)
-    for arity, rows, names in groups:
-        plan, columns = _compile(rows)
-        data = {**env, **names}
+_canonical = attrgetter("params", "terms")  # equal exactly when the Scalars are
+
+
+def _scan(name: str, groups, data: dict, A: HomAlgebra, cap: int) -> AxiomReport:
+    """Evaluate each group's rows on its basis tuples; stop at the witness cap.
+
+    ``data`` is the check's own binding of names; the groups' names and the
+    columns of maps are added to it.
+    """
+    witnesses: list[Witness] = []
+    for arity, (plan, columns), names in groups:
+        data.update(names)
         for f_name in columns:
-            f = data.get(f_name)
-            data[f_name, "columns"] = [f.col(i) if f else basis_vector(i, A.dim, A.params)
-                                       for i in range(A.dim)]
+            if (f_name, "columns") not in data:
+                f = data.get(f_name)
+                data[f_name, "columns"] = [f.col(i) if f else basis_vector(i, A.dim, A.params)
+                                           for i in range(A.dim)]
         for ix in product(range(A.dim), repeat=arity):
             values = []
-            for ident, steps, root in plan:
+            for ident, steps, lhs, rhs in plan:
                 for step in steps:
                     values.append(step(ix, values, data))
-                if not out.add(ident, ix, values[root]):
-                    return out.report()
-    return out.report()
+                residual = values[lhs]
+                if rhs is not None:
+                    if list(map(_canonical, residual)) == list(map(_canonical, values[rhs])):
+                        continue
+                    residual = tuple(map(sub, residual, values[rhs]))
+                if vec_is_zero(residual):
+                    continue
+                # the witness ids of M and morphism rows name the group's operation
+                label = ident.replace("<op>", names.get("<op>", ""))
+                witnesses.append(Witness(label, ix, residual))
+                if len(witnesses) >= cap:
+                    return AxiomReport(name, False, witnesses[:cap])
+    return AxiomReport(name, not witnesses, witnesses)
+
+
+@lru_cache(maxsize=None)
+def _group(arity: int, *ids: str):
+    """A scan group of identity rows, compiled once; it binds no names."""
+    return arity, _compile(tuple((ident, _IDENTITIES[ident]) for ident in ids)), {}
+
+
+# -- equations in an unknown map --------------------------------------------------
+
+
+def _expand(ids, arity: int, data: dict, unknown: str, d: int) -> list[dict]:
+    """The rows' residual coordinates as polynomials in the entries of one map.
+
+    Entry (p, i) of the map named ``unknown``, coordinate p of the image of
+    e_i, is variable p*d + i.  ``data`` binds each operation to its structure
+    constants c[i][j][k] and each named coefficient to a number.  For every
+    basis tuple in lexicographic order, id and coordinate k in ascending
+    order, a coordinate that is not identically zero is returned as
+    ``{sorted variable tuple: coefficient}``.  Each distinct subterm is one
+    step, whose value is ``{(coordinate, variable tuple): coefficient}``.
+    """
+    slots: dict = {}
+    steps: list = []
+    support = {name: [[[(k, c) for k, c in enumerate(vec) if c] for vec in row]
+                      for row in tensor]
+               for name, tensor in data.items() if isinstance(tensor, list)}
+
+    def slot(term) -> int:
+        if term not in slots:
+            step = compile_step(term)
+            slots[term] = len(slots)
+            steps.append(step)
+        return slots[term]
+
+    def summed(terms) -> dict:
+        out: dict = {}
+        for key, c in terms:
+            out[key] = out.get(key, 0) + c
+        return out
+
+    def compile_step(term):
+        if isinstance(term, int):
+            return lambda ix, v: {(ix[term], ()): 1}
+        if isinstance(term[0], tuple):  # a linear combination
+            parts = [(data[c] if isinstance(c, str) else c, slot(t)) for c, t in term]
+            return lambda ix, v: summed((key, c * val) for c, x in parts
+                                        for key, val in v[x].items())
+        name, *args = term
+        if len(args) == 1:
+            assert name == unknown, f"the rows may apply no map but {unknown!r}"
+            x = slot(args[0])
+            return lambda ix, v: summed(((p, tuple(sorted((*mono, p * d + m)))), c)
+                                        for (m, mono), c in v[x].items() for p in range(d))
+        sup = support[name]
+        if all(isinstance(arg, int) for arg in args):
+            i, j = args
+            return lambda ix, v: {(k, ()): c for k, c in sup[ix[i]][ix[j]]}
+        x, y = slot(args[0]), slot(args[1])
+        return lambda ix, v: summed(((k, tuple(sorted(mu + mv))), cu * cv * c)
+                                    for (p, mu), cu in v[x].items()
+                                    for (q, mv), cv in v[y].items() for k, c in sup[p][q])
+
+    roots = [slot(_IDENTITIES[ident]) for ident in ids]
+    polys = []
+    for ix in product(range(d), repeat=arity):
+        values = []
+        for step in steps:
+            values.append(step(ix, values))
+        for root in roots:
+            coords: dict = {}
+            for (k, mono), c in values[root].items():
+                if c:
+                    coords.setdefault(k, {})[mono] = c
+            polys += (coords[k] for k in sorted(coords))
+    return polys
 
 
 # -- checks -----------------------------------------------------------------------
@@ -341,8 +411,8 @@ def check_rota_baxter(
 
 def check_multiplicative(A: HomAlgebra, *, cap: int = DEFAULT_WITNESS_CAP) -> AxiomReport:
     """a(x o y) = a(x) o a(y) for every operation, on all basis pairs."""
-    groups = [(2, ((f"M:{name}", _IDENTITIES["M:<op>"]),), {"o": A.ops[name]})
-              for name in A.signature.op_names]
+    _, compiled, _ = _group(2, "M:<op>")
+    groups = [(2, compiled, {"o": A.ops[name], "<op>": name}) for name in A.signature.op_names]
     return _scan("multiplicative", groups, {"a": A.alpha}, A, cap)
 
 
@@ -354,8 +424,9 @@ def check_morphism(
         raise ValueError("signature mismatch between source and target")
     if A.dim != B.dim or f.dim != A.dim:
         raise ValueError("dimension mismatch")
-    groups = [(2, ((f"morphism:{name}", _IDENTITIES["morphism:<op>"]),),
-               {"o": A.ops[name], "o'": B.ops[name]}) for name in A.signature.op_names]
+    _, compiled, _ = _group(2, "morphism:<op>")
+    groups = [(2, compiled, {"o": A.ops[name], "o'": B.ops[name], "<op>": name})
+              for name in A.signature.op_names]
     groups.append(_group(1, "morphism:twist"))
     return _scan("morphism", groups, {"f": f, "a": A.alpha, "a'": B.alpha}, A, cap)
 

@@ -30,19 +30,13 @@ from fractions import Fraction
 
 from . import axioms, constructions
 from .catalog import catalog_get, catalog_list
-from .core import BilinearOp, HomAlgebra, LinearMap, RotaBaxter, Signature
+from .core import FIXED_OPS, BilinearOp, HomAlgebra, LinearMap, RotaBaxter, Signature
 from .scalar import ParseError, Scalar, parse_scalar
 from .search import SearchConfig, centroid_basis, search_rb, search_rb_oracle
 
 __all__ = ["to_document", "from_document", "save_algebra", "load_algebra", "main", "console_main"]
 
 DOCUMENT_FORMAT = 1
-
-_SIGNATURE_ORDER = {
-    "dendriform": ("left", "right"),
-    "tridendriform": ("left", "right", "dot"),
-}
-
 
 # -- document serialization ----------------------------------------------------
 
@@ -102,7 +96,7 @@ def from_document(doc: dict) -> HomAlgebra:
     ops_obj = doc.get("ops")
     if not isinstance(ops_obj, dict) or not ops_obj:
         raise ValueError("ops must be a nonempty object")
-    op_names = _SIGNATURE_ORDER.get(cls, tuple(sorted(ops_obj)))
+    op_names = FIXED_OPS.get(cls, tuple(sorted(ops_obj)))
     signature = Signature(cls, op_names)
     ops = {}
     for name in signature.op_names:
@@ -221,62 +215,41 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-_CONSTRUCT_KINDS = (
-    "yau-twist", "untwist", "derived", "centroid-twist", "commutator",
-    "dendriform-star", "dendriform-prelie", "tridendriform-star", "embed-trid",
-    "rb-prelie", "rb-dendriform", "rb-tridendriform", "rb-complement",
-    "star-derived", "lie-prelie", "matrix-algebra", "diagram-check",
-)
-
-
-def _load_map(path: str, algebra: HomAlgebra) -> LinearMap:
-    with open(path, encoding="utf-8") as fh:
+def _load_map(algebra: HomAlgebra, args) -> LinearMap:
+    if not args.map:
+        raise UsageError(f"{args.kind} requires --map FILE")
+    with open(args.map, encoding="utf-8") as fh:
         obj = json.load(fh)
     if isinstance(obj, dict) and "entries" in obj:
         obj = obj["entries"]
     return _parse_matrix(obj, algebra.dim, algebra.params, "map")
 
 
-def _run_construction(args, algebra: HomAlgebra):
-    kind = args.kind
-    force = args.force
-    if kind in ("yau-twist", "centroid-twist"):
-        if not args.map:
-            raise UsageError(f"{kind} requires --map FILE")
-        mapping = _load_map(args.map, algebra)
-        if kind == "yau-twist":
-            return constructions.yau_twist(algebra, mapping, force=force)
-        return constructions.centroid_twist(algebra, mapping, args.variant, force=force)
-    if kind == "untwist":
-        return constructions.untwist(algebra, force=force)
-    if kind == "derived":
-        return constructions.derived_algebra(algebra, args.n, f"type{args.type}", force=force)
-    if kind == "commutator":
-        return constructions.commutator(algebra, force=force)
-    if kind == "dendriform-star":
-        return constructions.dendriform_star(algebra, force=force)
-    if kind == "dendriform-prelie":
-        return constructions.dendriform_prelie(algebra, args.side, force=force)
-    if kind == "tridendriform-star":
-        return constructions.tridendriform_star(algebra, force=force)
-    if kind == "embed-trid":
-        return constructions.embed_dendriform_as_tridendriform(algebra, force=force)
-    if kind == "rb-prelie":
-        case = "zero" if args.weight_case == "zero" else "minus_one"
-        return constructions.rb_prelie(algebra, case, force=force)
-    if kind == "rb-dendriform":
-        return constructions.rb_dendriform(algebra, args.weighted, force=force)
-    if kind == "rb-tridendriform":
-        return constructions.rb_tridendriform(algebra, force=force)
-    if kind == "rb-complement":
-        return constructions.rb_complement(algebra, force=force)
-    if kind == "star-derived":
-        return constructions.star_derived(algebra, force=force)
-    if kind == "lie-prelie":
-        return constructions.rb_lie_prelie(algebra, force=force)
-    if kind == "matrix-algebra":
-        return constructions.matrix_algebra(algebra, args.size, force=force)
-    raise UsageError(f"unknown construction {kind!r}")
+# kind -> the construction, called on (algebra, args); diagram-check is apart
+_CONSTRUCTIONS = {
+    "yau-twist": lambda A, args: constructions.yau_twist(
+        A, _load_map(A, args), force=args.force),
+    "untwist": lambda A, args: constructions.untwist(A, force=args.force),
+    "derived": lambda A, args: constructions.derived_algebra(
+        A, args.n, f"type{args.type}", force=args.force),
+    "centroid-twist": lambda A, args: constructions.centroid_twist(
+        A, _load_map(A, args), args.variant, force=args.force),
+    "commutator": lambda A, args: constructions.commutator(A, force=args.force),
+    "dendriform-star": lambda A, args: constructions.dendriform_star(A, force=args.force),
+    "dendriform-prelie": lambda A, args: constructions.dendriform_prelie(
+        A, args.side, force=args.force),
+    "tridendriform-star": lambda A, args: constructions.tridendriform_star(A, force=args.force),
+    "embed-trid": lambda A, args: constructions.embed_dendriform_as_tridendriform(
+        A, force=args.force),
+    "rb-prelie": lambda A, args: constructions.rb_prelie(
+        A, args.weight_case.replace("-", "_"), force=args.force),
+    "rb-dendriform": lambda A, args: constructions.rb_dendriform(A, args.weighted, force=args.force),
+    "rb-tridendriform": lambda A, args: constructions.rb_tridendriform(A, force=args.force),
+    "rb-complement": lambda A, args: constructions.rb_complement(A, force=args.force),
+    "star-derived": lambda A, args: constructions.star_derived(A, force=args.force),
+    "lie-prelie": lambda A, args: constructions.rb_lie_prelie(A, force=args.force),
+    "matrix-algebra": lambda A, args: constructions.matrix_algebra(A, args.size, force=args.force),
+}
 
 
 def _cmd_construct(args) -> int:
@@ -286,7 +259,7 @@ def _cmd_construct(args) -> int:
         print(f"commutes: {'true' if commutes else 'false'}")
         return 0 if commutes else 1
 
-    result = _run_construction(args, algebra)
+    result = _CONSTRUCTIONS[args.kind](algebra, args)
     verification = None
     if args.kind == "star-derived":
         result, verification = result
@@ -434,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=_cmd_check)
 
     p_con = sub.add_parser("construct", help="apply a construction")
-    p_con.add_argument("kind", choices=_CONSTRUCT_KINDS)
+    p_con.add_argument("kind", choices=(*_CONSTRUCTIONS, "diagram-check"))
     _add_input_arguments(p_con)
     p_con.add_argument("--map", help="JSON file with a dim x dim scalar matrix")
     p_con.add_argument("--n", type=int, default=1, help="derived-algebra index")

@@ -377,6 +377,8 @@ class BilinearOp:
 
 ONE_OP_CLASSES = ("associative", "lie", "prelie-left", "prelie-right", "zinbiel")
 CLASSES = ONE_OP_CLASSES + ("dendriform", "tridendriform", "plain")
+# classes whose operation names are fixed, in their canonical order
+FIXED_OPS = {"dendriform": ("left", "right"), "tridendriform": ("left", "right", "dot")}
 
 
 @dataclass(frozen=True)
@@ -395,11 +397,11 @@ class Signature:
             raise ValueError("operation names must be nonempty and unique")
         if self.cls in ONE_OP_CLASSES and len(names) != 1:
             raise ValueError(f"class {self.cls!r} requires exactly one operation")
-        if self.cls == "dendriform" and set(names) != {"left", "right"}:
-            raise ValueError("dendriform signature requires operations 'left' and 'right'")
-        if self.cls == "tridendriform" and set(names) != {"left", "right", "dot"}:
+        fixed = FIXED_OPS.get(self.cls)
+        if fixed and set(names) != set(fixed):
+            *first, last = (repr(op) for op in fixed)
             raise ValueError(
-                "tridendriform signature requires operations 'left', 'right' and 'dot'"
+                f"{self.cls} signature requires operations {', '.join(first)} and {last}"
             )
 
     @classmethod
@@ -422,11 +424,11 @@ class Signature:
 
     @classmethod
     def dendriform(cls) -> "Signature":
-        return cls("dendriform", ("left", "right"))
+        return cls("dendriform", FIXED_OPS["dendriform"])
 
     @classmethod
     def tridendriform(cls) -> "Signature":
-        return cls("tridendriform", ("left", "right", "dot"))
+        return cls("tridendriform", FIXED_OPS["tridendriform"])
 
     @classmethod
     def plain(cls, op_names: Iterable[str] = ("mul",)) -> "Signature":

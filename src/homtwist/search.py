@@ -1,16 +1,18 @@
 """Desk-scale discovery: Rota-Baxter operator grids and exact centroids.
 
 ``search_rb`` finds every matrix over a finite rational entry grid that
-satisfies the Rota-Baxter identity.  After clearing denominators, the identity
-on each basis triple (i, j, k) is one quadratic equation with integer
-coefficients in the d*d entries of R.  The entries are assigned one at a time
-in row-major order, each over the grid in ascending order, and an equation is
-checked as soon as its last entry is set, so a partial matrix that already
-breaks one is abandoned with its whole subtree (depth-first backtracking).
-Hits therefore come out in lexicographic order of the flattened entries.
-``search_rb_oracle`` is an independent naive implementation used to
-cross-validate the search; it shares nothing with it beyond rational
-arithmetic.  ``centroid_basis`` solves the linear centroid conditions exactly.
+satisfies the Rota-Baxter identity.  Its equations are the ``RB`` row of
+``axioms._IDENTITIES``, expanded by ``axioms._expand``: after clearing
+denominators, the identity on each basis triple (i, j, k) is one quadratic
+equation with integer coefficients in the d*d entries of R.  The entries are
+assigned one at a time in row-major order, each over the grid in ascending
+order, and an equation is checked as soon as its last entry is set, so a
+partial matrix that already breaks one is abandoned with its whole subtree
+(depth-first backtracking).  Hits therefore come out in lexicographic order of
+the flattened entries.  ``search_rb_oracle`` is an independent naive
+implementation used to cross-validate the search; it shares nothing with it
+beyond rational arithmetic.  ``centroid_basis`` solves the linear conditions of
+rows ``C1`` and ``C2`` exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 from fractions import Fraction
 from math import lcm
 
+from .axioms import _expand
 from .core import HomAlgebra, LinearMap, nullspace
 from .scalar import Scalar, as_rational
 
@@ -101,54 +104,11 @@ def _fraction_tensor(A: HomAlgebra, op_name: str | None):
     return [[[x.constant_value() for x in vec] for vec in row] for row in op.c]
 
 
-def _scaled_problem(A: HomAlgebra, cfg: SearchConfig):
-    """Clear denominators: integer entry grid, tensor and weight plus their scales."""
-    c = _fraction_tensor(A, cfg.op_name)
-    de = lcm(*(f.denominator for f in cfg.entry_set))
+def _integer_tensor(A: HomAlgebra, op_name: str | None):
+    """One operation's structure constants times their common denominator."""
+    c = _fraction_tensor(A, op_name)
     dc = lcm(*(x.denominator for row in c for vec in row for x in vec))
-    dt = cfg.weight.denominator
-    entries_scaled = [int(f * de) for f in cfg.entry_set]
-    c_flat = [int(x * dc) for row in c for vec in row for x in vec]
-    t_scaled = int(cfg.weight * dt)
-    return entries_scaled, c_flat, t_scaled, de, dt
-
-
-def _equations(d: int, c_flat, t: int, de: int, dt: int) -> list[list[list[tuple[int, int, int]]]]:
-    """The scaled identity as sparse integer equations, grouped by check depth.
-
-    Basis triple (i, j, k) gives dt*(lhs - rhs_main) - de*t*rhs_theta = 0 in
-    the scaled entries x[p*d + i] = de*R[p][i]; c_flat is the scaled structure
-    tensor flattened as c[(p*d + q)*d + k].  Each equation is a list of terms
-    (coeff, a, b) meaning coeff*x[a]*x[b] with a <= b; slot d*d holds the
-    constant 1, so the linear weight terms are (coeff, a, d*d).  Equal
-    monomials are merged and zero coefficients dropped; an equation with no
-    terms left holds everywhere and is dropped.  Entry ``depth`` of the result
-    lists the equations whose highest entry index is ``depth``.
-    """
-    one = d * d
-    by_depth = [[] for _ in range(one)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                terms: dict[tuple[int, int], int] = {}
-
-                def add(coeff, a, b):
-                    key = (a, b) if a <= b else (b, a)
-                    terms[key] = terms.get(key, 0) + coeff
-
-                for p in range(d):
-                    for q in range(d):
-                        add(dt * c_flat[(p * d + q) * d + k], p * d + i, q * d + j)
-                for m in range(d):
-                    for p in range(d):
-                        add(-dt * c_flat[(p * d + j) * d + m], k * d + m, p * d + i)
-                        add(-dt * c_flat[(i * d + p) * d + m], k * d + m, p * d + j)
-                    add(-de * t * c_flat[(i * d + j) * d + m], k * d + m, one)
-                eq = [(coeff, a, b) for (a, b), coeff in terms.items() if coeff]
-                if eq:
-                    depth = max(a if b == one else b for _, a, b in eq)
-                    by_depth[depth].append(eq)
-    return by_depth
+    return [[[x.numerator * (dc // x.denominator) for x in vec] for vec in row] for row in c]
 
 
 def _backtrack(grid: list[int], by_depth, limit: int) -> list[tuple[int, ...]]:
@@ -208,9 +168,18 @@ def search_rb(A: HomAlgebra, cfg: SearchConfig) -> list[LinearMap]:
     """
     _require_parameter_free(A)
     _check_budget(A, cfg)
-    entries_scaled, c_flat, t_scaled, de, dt = _scaled_problem(A, cfg)
-    by_depth = _equations(A.dim, c_flat, t_scaled, de, dt)
-    found = _backtrack(entries_scaled, by_depth, cfg.limit or 0)
+    d = A.dim
+    # x = s*R is an integer on the grid and so is s*theta: the RB row in x is
+    # s^2 times the identity, one equation per basis triple, a list of terms
+    # coeff*x[a]*x[b]; a linear term's b is d*d, the slot of the constant 1
+    s = lcm(cfg.weight.denominator, *(f.denominator for f in cfg.entry_set))
+    data = {"o": _integer_tensor(A, cfg.op_name), "theta": int(cfg.weight * s)}
+    by_depth = [[] for _ in range(d * d)]
+    for poly in _expand(("RB",), 2, data, "R", d):
+        by_depth[max(mono[-1] for mono in poly)].append(
+            [(coeff, *mono) if len(mono) == 2 else (coeff, mono[0], d * d)
+             for mono, coeff in poly.items()])
+    found = _backtrack([int(f * s) for f in cfg.entry_set], by_depth, cfg.limit or 0)
     return [_digits_to_map(A, cfg, digits) for digits in found]
 
 
@@ -273,31 +242,15 @@ def centroid_basis(A: HomAlgebra) -> list[LinearMap]:
     row-major).
     """
     _require_parameter_free(A)
-    c = _fraction_tensor(A, None)
     d = A.dim
-    n2 = d * d
-    # the nonzero constants c[p][j][k] over p, and c[i][q][k] over q
-    left = [[[(p, c[p][j][k]) for p in range(d) if c[p][j][k]] for k in range(d)]
-            for j in range(d)]
-    right = [[[(q, c[i][q][k]) for q in range(d) if c[i][q][k]] for k in range(d)]
-             for i in range(d)]
     rows = []
-    for i in range(d):
-        for j in range(d):
-            image = [(m, x) for m, x in enumerate(c[i][j]) if x]
-            for k in range(d):
-                row1 = [0] * n2
-                row2 = [0] * n2
-                for m, x in image:
-                    row1[k * d + m] += x
-                    row2[k * d + m] += x
-                for p, x in left[j][k]:
-                    row1[p * d + i] -= x
-                for q, x in right[i][k]:
-                    row2[q * d + j] -= x
-                rows.append(row1)
-                rows.append(row2)
-    basis = nullspace(rows)
+    for poly in _expand(("C1", "C2"), 2, {"o": _integer_tensor(A, None)}, "a", d):
+        row = [0] * (d * d)
+        for (entry,), coeff in poly.items():
+            row[entry] = coeff
+        rows.append(row)
+    # the zero algebra gives no equations: every entry is free
+    basis = nullspace(rows or [[0] * (d * d)])
     return [
         LinearMap([[vec[r * d + s] for s in range(d)] for r in range(d)], A.params)
         for vec in basis

@@ -348,14 +348,21 @@ def centroid_pairs(rng: random.Random, count: int, cls: str = "associative"):
     return out
 
 
+_CENTROID_CACHE: dict = {}
+
+
 def centroid_grid_bruteforce(A: HomAlgebra, grid):
-    """Integer brute force for the centroid equalities; yields flat entry tuples.
+    """Integer brute force for the centroid equalities; the flat entry tuples.
 
     Independent of centroid_basis: direct per-pair evaluation of
-    a(x o y) = a(x) o y = x o a(y) over the raw structure constants.
+    a(x o y) = a(x) o y = x o a(y) over the raw structure constants.  Cached
+    per (structure constants, grid): two tests run the same 4^9 candidates.
     """
     c = [[[x.constant_value() for x in vec] for vec in row] for row in A.op.c]
     d = A.dim
+    key = (d, tuple(x for row in c for vec in row for x in vec), tuple(grid))
+    if key in _CENTROID_CACHE:
+        return _CENTROID_CACHE[key]
 
     def is_centroidal(m):
         for i in range(d):
@@ -368,10 +375,10 @@ def centroid_grid_bruteforce(A: HomAlgebra, grid):
                         return False
         return True
 
-    for flat in itertools.product(grid, repeat=d * d):
-        m = [list(flat[r * d:(r + 1) * d]) for r in range(d)]
-        if is_centroidal(m):
-            yield flat
+    found = [flat for flat in itertools.product(grid, repeat=d * d)
+             if is_centroidal([list(flat[r * d:(r + 1) * d]) for r in range(d)])]
+    _CENTROID_CACHE[key] = found
+    return found
 
 
 def reference_rref(rows):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -34,7 +35,7 @@ from homtwist.core import (
     vec_scale,
     vec_sub,
 )
-from homtwist.scalar import Scalar
+from homtwist.scalar import Scalar, parse_scalar
 
 
 def _one_op(dim, table, signature=None, alpha=None, params=()):
@@ -558,6 +559,52 @@ class TestMultilinearityReduction:
             assert combo == direct(*vectors)
 
 
+class TestEquationExpander:
+    """The search's equations against the Scalar engine of the checkers."""
+
+    @pytest.mark.parametrize("ids, unknown", [(("RB",), "R"), (("C1", "C2"), "a")])
+    def test_polynomials_are_the_residual_coordinates(self, ids, unknown):
+        # With every entry of the unknown map a parameter, the checker's
+        # nonzero residual coordinates are the polynomials, in scan order.  At
+        # a random rational point each polynomial's value is the checker's
+        # coordinate there, and every coordinate without a polynomial is zero.
+        from homtwist.axioms import _expand
+
+        rng = random.Random(7)
+        fractions = [Fraction(n, q) for n in range(-3, 4) for q in (1, 2, 3)]
+        for _ in range(60):
+            d = rng.randint(1, 3)
+            names = tuple(f"x{e}" for e in range(d * d))
+            c = [[[rng.choice(fractions) if rng.random() < 0.5 else Fraction(0)
+                   for _ in range(d)] for _ in range(d)] for _ in range(d)]
+            theta = rng.choice(fractions)
+            A = HomAlgebra(d, names, Signature.associative(), {"mul": BilinearOp(c, names)},
+                           LinearMap.identity(d, names))
+
+            def coordinates(entries):
+                """Every residual coordinate, by basis pair, id and coordinate."""
+                m = LinearMap([entries[p * d:(p + 1) * d] for p in range(d)], names)
+                report = (check_rota_baxter(A, None, m, theta, cap=10**6) if unknown == "R"
+                          else check_centroid(m, A, cap=10**6))
+                residuals = {(w.identity_id, w.indices): w.residual for w in report.witnesses}
+                zero = (Scalar.zero(names),) * d
+                return [x for ix in itertools.product(range(d), repeat=2) for ident in ids
+                        for x in residuals.get((ident, ix), zero)]
+
+            symbolic = coordinates([parse_scalar(name, names) for name in names])
+            kept = [n for n, x in enumerate(symbolic) if not x.is_zero()]
+            polys = _expand(ids, 2, {"o": c, "theta": theta}, unknown, d)
+            assert polys == [
+                {tuple(e for e, power in enumerate(exps) for _ in range(power)): coeff
+                 for exps, coeff in symbolic[n].terms.items()}
+                for n in kept
+            ]
+
+            point = [rng.choice(fractions) for _ in range(d * d)]
+            at_point = [x.constant_value() for x in coordinates(point)]
+            assert [sum(coeff * prod(point[e] for e in mono) for mono, coeff in poly.items())
+                    for poly in polys] == [at_point[n] for n in kept]
+            assert all(x == 0 for n, x in enumerate(at_point) if n not in set(kept))
 
 
 class TestPipelineProperty:
