@@ -8,11 +8,12 @@ linear combination ``((c, t), ...)`` whose coefficients are rationals or the
 name of a bound Scalar.  Names are bound per check: ``o`` is the operation and
 ``a`` the twist, ``l``, ``r``, ``d`` are left, right and dot, ``R`` and
 ``theta`` the Rota-Baxter data; a scan group ``(arity, compiled rows, names)``
-may bind more, such as the operation of its ``M:<op>`` row.  One engine scans
-the basis tuples of each group in lexicographic order, evaluates the rows in
-turn on each tuple (so D1, D2 and D3 interleave) and records every nonzero
-residual.  ``_expand`` reads the same rows with one map unknown: they give the
-equations of the Rota-Baxter search and of the centroid solve.
+may bind more, such as the operation of its ``M:<op>`` row.  One engine,
+``_compile`` and ``_residuals``, evaluates rows on sparse values: it scans the
+basis tuples of each group in lexicographic order and evaluates the rows in
+turn on each tuple (so D1, D2 and D3 interleave).  ``_scan`` records every
+nonzero residual of a check; ``_expand`` reads the same rows with one map
+unknown, for the equations of the Rota-Baxter search and the centroid solve.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from operator import add, attrgetter, sub
 
-from .core import HomAlgebra, LinearMap, basis_vector, vec_is_zero, vec_scale
+from .core import BilinearOp, HomAlgebra, LinearMap
 from .scalar import Scalar
 
 __all__ = [
@@ -140,17 +140,21 @@ _IDENTITIES = {
 # -- the residual engine --------------------------------------------------------
 
 
-def _compile(rows) -> tuple[list, frozenset]:
+def _compile(ids, unknown: str | None) -> tuple[list, bool]:
     """Compile the rows of one group, once, into steps over one list of values.
 
-    A step maps (basis tuple, values so far, bound data) to a vector.  Each
-    distinct subterm is one step, so C1 and C2 share a(x o y); each row lists
-    only its new steps, so it is evaluated only when the scan reaches it.  A
-    basis argument costs no apply: it reads a pair, or a column of a map or of
-    the identity (None) that the data binds for each name in the returned set.
+    A value is sparse, ``{(coordinate, monomial): coefficient}``; a monomial
+    is the sorted tuple of the entries of the map named ``unknown`` that the
+    coefficient multiplies, ``()`` for every other map.  A step maps (basis
+    tuple, values so far, data) to a value.  Each distinct subterm is one step,
+    so C1 and C2 share a(x o y); each row lists only its new steps, so it is
+    evaluated only when the scan reaches it.  The data binds operations to
+    their supports, maps to their sparse columns (the unknown map's hold entry
+    indices), coefficients to numbers, and ``"1"`` to the unit if the returned
+    flag says a basis argument reads it.  Zeros are kept until the residual:
+    testing each one costs more than carrying it.
     """
     slots: dict = {}
-    columns = set()
 
     def slot(term) -> int:
         if term not in slots:
@@ -160,83 +164,121 @@ def _compile(rows) -> tuple[list, frozenset]:
         return slots[term]
 
     def compile_step(term):
-        if isinstance(term, int):
-            term = (None, term)
-        if isinstance(term[0], tuple):  # a linear combination, summed left to right
-            *init, (c, last) = term
-            if not init:  # c * last
-                x = slot(last)
-                return lambda ix, v, d: vec_scale(d.get(c, c), v[x])
-            acc = slot(init[0][1] if len(init) == 1 and init[0][0] == 1 else tuple(init))
-            x = slot(last if c in (1, -1) else ((c, last),))
-            combine = sub if c == -1 else add
-            return lambda ix, v, d: tuple(map(combine, v[acc], v[x]))
+        if isinstance(term, int):  # a basis argument
+            return lambda ix, v, data: {(ix[term], ()): data["1"]}
+        if isinstance(term[0], tuple):  # a linear combination
+            parts = [(c, slot(t)) for c, t in term]
+            return lambda ix, v, data: _combination(parts, v, data)
         name, *args = term
-        if all(isinstance(arg, int) for arg in args):
-            if len(args) == 1:
-                columns.add(name)
-                key, i = (name, "columns"), args[0]
-                return lambda ix, v, d: d[key][ix[i]]
-            i, j = args
-            return lambda ix, v, d: d[name].c[ix[i]][ix[j]]
-        x = slot(args[0])
-        if len(args) == 1:
-            return lambda ix, v, d: d[name].apply(v[x])
-        y = slot(args[1])
-        return lambda ix, v, d: d[name].apply(v[x], v[y])
+        if len(args) == 2:
+            if all(isinstance(arg, int) for arg in args):
+                i, j = args
+                return lambda ix, v, data: {(k, ()): c for k, c in data[name][ix[i]][ix[j]]}
+            x, y = slot(args[0]), slot(args[1])
+            return lambda ix, v, data: _product(data[name], v[x], v[y])
+        i, is_unknown = args[0], name == unknown
+        if isinstance(i, int) and not is_unknown:  # read the column: multiplying by 1 costs
+            return lambda ix, v, data: {(p, ()): c for p, c in data[name][ix[i]]}
+        x = slot(i)
+        return lambda ix, v, data: _image(data[name], v[x], is_unknown)
 
     plan = []
-    for ident, term in rows:
+    for ident in ids:
         steps: list = []
-        # lhs - rhs: the scan compares the sides and subtracts only for a witness
-        if isinstance(term[0], tuple) and [c for c, _ in term] == [1, -1]:
-            plan.append((ident, steps, slot(term[0][1]), slot(term[1][1])))
-        else:
-            plan.append((ident, steps, slot(term), None))
-    return plan, frozenset(columns)
+        parts = [(c, slot(t)) for c, t in _IDENTITIES[ident]]
+        # lhs - rhs: the sides are compared, and subtracted only when they differ
+        sides = [x for _, x in parts] if [c for c, _ in parts] == [1, -1] else None
+        plan.append((ident, steps, parts, sides))
+    return plan, any(isinstance(term, int) for term in slots)
 
 
-_canonical = attrgetter("params", "terms")  # equal exactly when the Scalars are
+def _combination(parts, v, data) -> dict:
+    """The sum of c * v[x] over the parts (c, x); a named c is read from the data."""
+    out: dict = {}
+    for c, x in parts:
+        terms = v[x].items()
+        if c == -1:
+            terms = [(key, -val) for key, val in terms]
+        elif c != 1:
+            terms = [(key, data.get(c, c) * val) for key, val in terms]
+        for key, val in terms:
+            out[key] = out[key] + val if key in out else val
+    return out
+
+
+def _product(support, u: dict, v: dict) -> dict:
+    """u o v for the operation with this support."""
+    out: dict = {}
+    for (p, mu), cu in u.items():
+        row = support[p]
+        for (q, mv), cv in v.items():
+            if row[q]:
+                cc = cu * cv
+                mono = tuple(sorted(mu + mv)) if mu and mv else mu + mv
+                for k, c in row[q]:
+                    key, val = (k, mono), cc * c
+                    out[key] = out[key] + val if key in out else val
+    return out
+
+
+def _image(columns, v: dict, unknown: bool) -> dict:
+    """The image of v under the map with these sparse columns.  The columns of
+    the unknown map hold entry indices, which join the monomial."""
+    out: dict = {}
+    for (m, mono), c in v.items():
+        for p, a in columns[m]:
+            if unknown:
+                key, val = (p, tuple(sorted((*mono, a)))), c
+            else:
+                key, val = (p, mono), a * c
+            out[key] = out[key] + val if key in out else val
+    return out
+
+
+def _residuals(plan, arity: int, dim: int, data: dict):
+    """Every nonzero residual as (basis tuple, id, its nonzero coefficients),
+    for the basis tuples in lexicographic order and the rows in turn."""
+    for ix in product(range(dim), repeat=arity):
+        values: list = []
+        for ident, steps, parts, sides in plan:
+            for step in steps:
+                values.append(step(ix, values, data))
+            if sides and values[sides[0]] == values[sides[1]]:
+                continue
+            residual = {key: c for key, c in _combination(parts, values, data).items() if c}
+            if residual:
+                yield ix, ident, residual
 
 
 def _scan(name: str, groups, data: dict, A: HomAlgebra, cap: int) -> AxiomReport:
     """Evaluate each group's rows on its basis tuples; stop at the witness cap.
 
-    ``data`` is the check's own binding of names; the groups' names and the
-    columns of maps are added to it.
+    ``data`` is the check's own binding of names; each group's names are added
+    to it.  A group whose data is not all over ``A.params`` is refused.
     """
     witnesses: list[Witness] = []
-    for arity, (plan, columns), names in groups:
-        data.update(names)
-        for f_name in columns:
-            if (f_name, "columns") not in data:
-                f = data.get(f_name)
-                data[f_name, "columns"] = [f.col(i) if f else basis_vector(i, A.dim, A.params)
-                                           for i in range(A.dim)]
-        for ix in product(range(A.dim), repeat=arity):
-            values = []
-            for ident, steps, lhs, rhs in plan:
-                for step in steps:
-                    values.append(step(ix, values, data))
-                residual = values[lhs]
-                if rhs is not None:
-                    if list(map(_canonical, residual)) == list(map(_canonical, values[rhs])):
-                        continue
-                    residual = tuple(map(sub, residual, values[rhs]))
-                if vec_is_zero(residual):
-                    continue
-                # the witness ids of M and morphism rows name the group's operation
-                label = ident.replace("<op>", names.get("<op>", ""))
-                witnesses.append(Witness(label, ix, residual))
-                if len(witnesses) >= cap:
-                    return AxiomReport(name, False, witnesses[:cap])
+    for arity, (plan, bare), names in groups:
+        bound = {**data, **names, "1": Scalar.one(A.params) if bare else None}
+        for key, x in bound.items():
+            if isinstance(x, (BilinearOp, LinearMap, Scalar)):
+                if x.params != A.params:
+                    raise ValueError(f"parameter list mismatch: {x.params!r} vs {A.params!r}")
+                bound[key] = x if isinstance(x, Scalar) else x.support
+        for ix, ident, residual in _residuals(plan, arity, A.dim, bound):
+            # the witness ids of M and morphism rows name the group's operation
+            label = ident.replace("<op>", names.get("<op>", ""))
+            zero = Scalar.zero(A.params)
+            witnesses.append(Witness(label, ix, tuple(residual.get((k, ()), zero)
+                                                      for k in range(A.dim))))
+            if len(witnesses) >= cap:
+                return AxiomReport(name, False, witnesses[:cap])
     return AxiomReport(name, not witnesses, witnesses)
 
 
 @lru_cache(maxsize=None)
-def _group(arity: int, *ids: str):
+def _group(arity: int, *ids: str, unknown: str | None = None):
     """A scan group of identity rows, compiled once; it binds no names."""
-    return arity, _compile(tuple((ident, _IDENTITIES[ident]) for ident in ids)), {}
+    return arity, _compile(ids, unknown), {}
 
 
 # -- equations in an unknown map --------------------------------------------------
@@ -250,62 +292,19 @@ def _expand(ids, arity: int, data: dict, unknown: str, d: int) -> list[dict]:
     constants c[i][j][k] and each named coefficient to a number.  For every
     basis tuple in lexicographic order, id and coordinate k in ascending
     order, a coordinate that is not identically zero is returned as
-    ``{sorted variable tuple: coefficient}``.  Each distinct subterm is one
-    step, whose value is ``{(coordinate, variable tuple): coefficient}``.
+    ``{sorted variable tuple: coefficient}``.
     """
-    slots: dict = {}
-    steps: list = []
-    support = {name: [[[(k, c) for k, c in enumerate(vec) if c] for vec in row]
-                      for row in tensor]
-               for name, tensor in data.items() if isinstance(tensor, list)}
-
-    def slot(term) -> int:
-        if term not in slots:
-            step = compile_step(term)
-            slots[term] = len(slots)
-            steps.append(step)
-        return slots[term]
-
-    def summed(terms) -> dict:
-        out: dict = {}
-        for key, c in terms:
-            out[key] = out.get(key, 0) + c
-        return out
-
-    def compile_step(term):
-        if isinstance(term, int):
-            return lambda ix, v: {(ix[term], ()): 1}
-        if isinstance(term[0], tuple):  # a linear combination
-            parts = [(data[c] if isinstance(c, str) else c, slot(t)) for c, t in term]
-            return lambda ix, v: summed((key, c * val) for c, x in parts
-                                        for key, val in v[x].items())
-        name, *args = term
-        if len(args) == 1:
-            assert name == unknown, f"the rows may apply no map but {unknown!r}"
-            x = slot(args[0])
-            return lambda ix, v: summed(((p, tuple(sorted((*mono, p * d + m)))), c)
-                                        for (m, mono), c in v[x].items() for p in range(d))
-        sup = support[name]
-        if all(isinstance(arg, int) for arg in args):
-            i, j = args
-            return lambda ix, v: {(k, ()): c for k, c in sup[ix[i]][ix[j]]}
-        x, y = slot(args[0]), slot(args[1])
-        return lambda ix, v: summed(((k, tuple(sorted(mu + mv))), cu * cv * c)
-                                    for (p, mu), cu in v[x].items()
-                                    for (q, mv), cv in v[y].items() for k, c in sup[p][q])
-
-    roots = [slot(_IDENTITIES[ident]) for ident in ids]
+    _, (plan, _), _ = _group(arity, *ids, unknown=unknown)
+    bound = {"1": 1, unknown: [[(p, p * d + i) for p in range(d)] for i in range(d)]}
+    for name, x in data.items():
+        bound[name] = ([[[(k, c) for k, c in enumerate(vec) if c] for vec in row] for row in x]
+                       if isinstance(x, list) else x)
     polys = []
-    for ix in product(range(d), repeat=arity):
-        values = []
-        for step in steps:
-            values.append(step(ix, values))
-        for root in roots:
-            coords: dict = {}
-            for (k, mono), c in values[root].items():
-                if c:
-                    coords.setdefault(k, {})[mono] = c
-            polys += (coords[k] for k in sorted(coords))
+    for _, _, residual in _residuals(plan, arity, d, bound):
+        coords: dict = {}
+        for (k, mono), c in residual.items():
+            coords.setdefault(k, {})[mono] = c
+        polys += (coords[k] for k in sorted(coords))
     return polys
 
 
@@ -336,17 +335,6 @@ CLASS_CHECK_NAMES = tuple(
     sorted([*_CLASSES, *(name.removeprefix("hom-") for name in _CLASSES),
             "multiplicative", "rota-baxter"])
 )
-
-
-def _bind(A: HomAlgebra, hom: str, ops: dict | None) -> dict:
-    if ops is None:
-        return _bind_single_op(A)
-    if set(A.ops) != set(ops.values()):
-        *first, last = map(repr, ops.values())
-        raise ValueError(
-            f"{hom.removeprefix('hom-')} check requires operations {', '.join(first)} and {last}"
-        )
-    return {"a": A.alpha, **{letter: A.ops[op] for letter, op in ops.items()}}
 
 
 def check_hom_associative(A: HomAlgebra, *, cap: int = DEFAULT_WITNESS_CAP) -> AxiomReport:
@@ -456,4 +444,12 @@ def check_class(A: HomAlgebra, class_name: str, *, cap: int = DEFAULT_WITNESS_CA
     if hom != class_name:
         A = A.with_identity_twist()
     ops, groups = _CLASSES[hom]
-    return _scan(class_name, groups, _bind(A, hom, ops), A, cap)
+    if ops is None:
+        return _scan(class_name, groups, _bind_single_op(A), A, cap)
+    if set(A.ops) != set(ops.values()):
+        *first, last = map(repr, ops.values())
+        raise ValueError(
+            f"{hom.removeprefix('hom-')} check requires operations {', '.join(first)} and {last}"
+        )
+    data = {"a": A.alpha, **{letter: A.ops[op] for letter, op in ops.items()}}
+    return _scan(class_name, groups, data, A, cap)

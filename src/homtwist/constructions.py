@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from . import axioms
 from .core import (
+    FIXED_OPS,
     BilinearOp,
     HomAlgebra,
     LinearMap,
@@ -60,6 +61,16 @@ class PreconditionError(ValueError):
 def _require(report: axioms.AxiomReport, what: str):
     if not report.passed:
         raise PreconditionError(what, report)
+
+
+def _fixed_ops(A: HomAlgebra, cls: str) -> list[BilinearOp]:
+    """The operations of a ``cls`` algebra that a construction reads; forcing
+    skips the identity checks, not this one."""
+    names = FIXED_OPS[cls]
+    if not set(names) <= set(A.ops):
+        *first, last = map(repr, names)
+        raise ValueError(f"{cls} construction requires operations {', '.join(first)} and {last}")
+    return [A.ops[name] for name in names]
 
 
 def _require_rb_commutes(A: HomAlgebra, alpha: LinearMap):
@@ -177,8 +188,8 @@ def dendriform_star(D: HomAlgebra, *, force: bool = False) -> HomAlgebra:
     """x * y = x < y + x > y; the sum of a dendriform pair is Hom-associative."""
     if not force:
         _require(axioms.check_hom_dendriform(D), "algebra is not Hom-dendriform")
-    star = D.ops["left"] + D.ops["right"]
-    return replace(D, ops={"mul": star}, signature=Signature.associative(), rb=None)
+    left, right = _fixed_ops(D, "dendriform")
+    return replace(D, ops={"mul": left + right}, signature=Signature.associative(), rb=None)
 
 
 def dendriform_prelie(D: HomAlgebra, side: str = "left", *, force: bool = False) -> HomAlgebra:
@@ -187,7 +198,7 @@ def dendriform_prelie(D: HomAlgebra, side: str = "left", *, force: bool = False)
         raise ValueError("side must be 'left' or 'right'")
     if not force:
         _require(axioms.check_hom_dendriform(D), "algebra is not Hom-dendriform")
-    lt, rt = D.ops["left"], D.ops["right"]
+    lt, rt = _fixed_ops(D, "dendriform")
     if side == "left":
         op = rt - lt.opposite()
     else:
@@ -199,19 +210,16 @@ def tridendriform_star(T: HomAlgebra, *, force: bool = False) -> HomAlgebra:
     """x * y = x < y + x > y + x . y is Hom-associative."""
     if not force:
         _require(axioms.check_hom_tridendriform(T), "algebra is not Hom-tridendriform")
-    star = T.ops["left"] + T.ops["right"] + T.ops["dot"]
-    return replace(T, ops={"mul": star}, signature=Signature.associative(), rb=None)
+    left, right, dot = _fixed_ops(T, "tridendriform")
+    return replace(T, ops={"mul": left + right + dot}, signature=Signature.associative(), rb=None)
 
 
 def embed_dendriform_as_tridendriform(D: HomAlgebra, *, force: bool = False) -> HomAlgebra:
     """View a dendriform pair as a tridendriform triple with zero dot."""
     if not force:
         _require(axioms.check_hom_dendriform(D), "algebra is not Hom-dendriform")
-    ops = {
-        "left": D.ops["left"],
-        "right": D.ops["right"],
-        "dot": BilinearOp.zero(D.dim, D.params),
-    }
+    left, right = _fixed_ops(D, "dendriform")
+    ops = {"left": left, "right": right, "dot": BilinearOp.zero(D.dim, D.params)}
     return replace(D, ops=ops, signature=Signature.tridendriform())
 
 
@@ -378,20 +386,16 @@ def matrix_algebra(A: HomAlgebra, n: int, *, force: bool = False) -> HomAlgebra:
                 for t in range(n):
                     for u in range(d):
                         col = flat(q, t, u)
-                        vec = op.pair(r, u)
-                        for k in range(d):
-                            if not vec[k].is_zero():
-                                c[row][col][flat(p, t, k)] = vec[k]
+                        for k, x in op.support[r][u]:
+                            c[row][col][flat(p, t, k)] = x
 
     def lift(m: LinearMap) -> LinearMap:
         rows = [[zero] * N for _ in range(N)]
         for p in range(n):
             for q in range(n):
-                for r in range(d):
-                    for s in range(d):
-                        entry = m.entries[r][s]
-                        if not entry.is_zero():
-                            rows[flat(p, q, r)][flat(p, q, s)] = entry
+                for s in range(d):
+                    for r, entry in m.support[s]:
+                        rows[flat(p, q, r)][flat(p, q, s)] = entry
         return LinearMap(rows, A.params)
 
     rb = None

@@ -78,7 +78,7 @@ def vec_is_zero(u: Sequence[Scalar]) -> bool:
 class LinearMap:
     """A square matrix of Scalars acting on column coordinate vectors."""
 
-    __slots__ = ("dim", "params", "entries")
+    __slots__ = ("dim", "params", "entries", "_support")
 
     def __init__(self, entries: Sequence[Sequence[object]], params: Iterable[str] = ()):
         params = _validated_params(params)
@@ -108,6 +108,15 @@ class LinearMap:
             [[values[i] if i == j else 0 for j in range(dim)] for i in range(dim)],
             params,
         )
+
+    @property
+    def support(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
+        """For each column j, its nonzero entries (i, entries[i][j]); built once."""
+        if not hasattr(self, "_support"):
+            object.__setattr__(self, "_support", tuple(
+                tuple((i, row[j]) for i, row in enumerate(self.entries) if row[j])
+                for j in range(self.dim)))
+        return self._support
 
     def col(self, j: int) -> tuple[Scalar, ...]:
         return tuple(self.entries[i][j] for i in range(self.dim))
@@ -230,7 +239,7 @@ class LinearMap:
 class BilinearOp:
     """A bilinear operation as a dim x dim x dim tensor of Scalars."""
 
-    __slots__ = ("dim", "params", "c")
+    __slots__ = ("dim", "params", "c", "_support")
 
     def __init__(self, c: Sequence[Sequence[Sequence[object]]], params: Iterable[str] = ()):
         params = _validated_params(params)
@@ -253,6 +262,15 @@ class BilinearOp:
     @classmethod
     def zero(cls, dim: int, params: Iterable[str] = ()) -> "BilinearOp":
         return cls([[[0] * dim for _ in range(dim)] for _ in range(dim)], params)
+
+    @property
+    def support(self) -> tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]:
+        """For each basis pair (p, q), the nonzero (k, c[p][q][k]); built once."""
+        if not hasattr(self, "_support"):
+            object.__setattr__(self, "_support", tuple(
+                tuple(tuple((k, x) for k, x in enumerate(vec) if x) for vec in row)
+                for row in self.c))
+        return self._support
 
     def pair(self, i: int, j: int) -> tuple[Scalar, ...]:
         """Coordinates of e_i o e_j."""
@@ -281,16 +299,12 @@ class BilinearOp:
         d = self.dim
         zero = Scalar.zero(self.params)
         c = [[[zero] * d for _ in range(d)] for _ in range(d)]
-        for i, row in enumerate(self.c):
-            for j, vec in enumerate(row):
+        for i, row in enumerate(self.support):
+            for j, entries in enumerate(row):
                 out = c[i][j]
-                for t, x in enumerate(vec):
-                    if x.is_zero():
-                        continue
-                    for k in range(d):
-                        a = m.entries[k][t]
-                        if not a.is_zero():
-                            out[k] = out[k] + x * a
+                for t, x in entries:
+                    for k, a in m.support[t]:
+                        out[k] = out[k] + x * a
         return BilinearOp(c, self.params)
 
     def precompose(self, left: LinearMap | None = None, right: LinearMap | None = None) -> "BilinearOp":
@@ -567,7 +581,7 @@ def _eliminate(rows: Sequence[Sequence[object]]) -> tuple[list[dict[int, Fractio
     columns = range(len(rows[0]))
     for row in rows:
         entries = {}
-        # zero ints and Fractions skip coercion; zero Scalars coerce to 0
+        # zero ints, Fractions and Scalars are skipped before any coercion
         for j in compress(columns, row):
             v = _rational(row[j])
             if v:

@@ -186,6 +186,9 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return all(not any(exps) for exps in self.terms)
 

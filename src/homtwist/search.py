@@ -2,17 +2,17 @@
 
 ``search_rb`` finds every matrix over a finite rational entry grid that
 satisfies the Rota-Baxter identity.  Its equations are the ``RB`` row of
-``axioms._IDENTITIES``, expanded by ``axioms._expand``: after clearing
-denominators, the identity on each basis triple (i, j, k) is one quadratic
-equation with integer coefficients in the d*d entries of R.  The entries are
-assigned one at a time in row-major order, each over the grid in ascending
-order, and an equation is checked as soon as its last entry is set, so a
-partial matrix that already breaks one is abandoned with its whole subtree
-(depth-first backtracking).  Hits therefore come out in lexicographic order of
-the flattened entries.  ``search_rb_oracle`` is an independent naive
-implementation used to cross-validate the search; it shares nothing with it
-beyond rational arithmetic.  ``centroid_basis`` solves the linear conditions of
-rows ``C1`` and ``C2`` exactly.
+``axioms._IDENTITIES``, expanded by ``axioms._expand``, the checks' engine
+with R unknown: after clearing denominators, the identity on each basis
+triple (i, j, k) is one quadratic equation with integer coefficients in the
+d*d entries of R.  The entries are assigned one at a time in row-major order,
+each over the grid in ascending order, and an equation is checked as soon as
+its last entry is set, so a partial matrix that already breaks one is
+abandoned with its whole subtree (depth-first backtracking).  Hits therefore
+come out in lexicographic order of the flattened entries.  ``search_rb_oracle``
+is an independent naive implementation used to cross-validate the search; it
+shares nothing with it beyond rational arithmetic.  ``centroid_basis`` solves
+the linear conditions of rows ``C1`` and ``C2`` exactly.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+from homtwist import axioms
 from homtwist.axioms import (
     check_centroid,
     check_class,
@@ -279,6 +280,21 @@ class TestMorphism:
             check_morphism(LinearMap.identity(3, A.params), A, L)
 
 
+class TestParameterMismatch:
+    """Data over other parameters than the algebra's is refused, even when it is
+    zero or the identity and so adds no term."""
+
+    @pytest.mark.parametrize("check", [
+        lambda A: check_rota_baxter(A, None, LinearMap.zero(3, ("a",)), 1),
+        lambda A: check_centroid(LinearMap.zero(3, ("q",)), A),
+        lambda A: check_centroid(LinearMap.identity(3, ("q",)), A),
+        lambda A: check_morphism(LinearMap.identity(3), A, catalog_get("ex_assoc3")),
+    ], ids=["rota-baxter-zero-map", "centroid-zero-map", "centroid-identity", "morphism-target"])
+    def test_refused(self, check):
+        with pytest.raises(ValueError, match="parameter list mismatch"):
+            check(catalog_get("ex_assoc3", {"a": 1, "b": 2}))
+
+
 class TestCentroid:
     def test_scalar_multiples_of_identity(self):
         for fixture in ("ex_assoc3", "ex_homlie3", "jackson_sl2"):
@@ -349,9 +365,27 @@ def _random_map(rng, d):
 
 def _random_bundle(rng, d):
     """Random operations and maps, with no identity expected to hold."""
-    return {"dim": d, **{name: _random_op(rng, d) for name in ("o", "l", "r", "d", "o2", "p2")},
+    return {"dim": d, "params": (),
+            **{name: _random_op(rng, d) for name in ("o", "l", "r", "d", "o2", "p2")},
             **{name: _random_map(rng, d) for name in ("a", "R", "f", "b")},
             "theta": Scalar.constant(Fraction(rng.choice([-3, -1, 2, 5]), 2))}
+
+
+def _sparse_bundle(rng):
+    """A dim-3 bundle over Q[a,b] with about 70% zero entries."""
+    params = ("a", "b")
+    texts = ["1", "-1", "2", "-1/2", "a", "b", "a*b - 1", "3/2*a^2"]
+
+    def entry():
+        return parse_scalar(rng.choice(texts) if rng.random() < 0.3 else "0", params)
+
+    return {"dim": 3, "params": params,
+            **{name: BilinearOp([[[entry() for _ in range(3)] for _ in range(3)]
+                                 for _ in range(3)], params)
+               for name in ("o", "l", "r", "d", "o2", "p2")},
+            **{name: LinearMap([[entry() for _ in range(3)] for _ in range(3)], params)
+               for name in ("a", "R", "f", "b")},
+            "theta": parse_scalar("a - 1/2", params)}
 
 
 def _sum(*vectors):
@@ -363,7 +397,7 @@ def _sum(*vectors):
 
 def _one_op_formulas(checker, formula, arity=3):
     def build(b):
-        A = HomAlgebra(b["dim"], (), Signature.plain(("mul",)), {"mul": b["o"]}, b["a"])
+        A = HomAlgebra(b["dim"], b["params"], Signature.plain(("mul",)), {"mul": b["o"]}, b["a"])
         o, a = b["o"].apply, b["a"].apply
         return arity, lambda cap: checker(A, cap=cap), lambda *xs: formula(o, a, *xs)
     return build
@@ -377,7 +411,7 @@ def _split_formulas(ops, formula):
     def build(b):
         names = ("left", "right", "dot")[:len(ops)]
         sig = Signature.dendriform() if len(ops) == 2 else Signature.tridendriform()
-        A = HomAlgebra(b["dim"], (), sig, {n: b[k] for n, k in zip(names, ops)}, b["a"])
+        A = HomAlgebra(b["dim"], b["params"], sig, {n: b[k] for n, k in zip(names, ops)}, b["a"])
         checker = check_hom_dendriform if len(ops) == 2 else check_hom_tridendriform
         applies = [b[k].apply for k in ops]
         return 3, lambda cap: checker(A, cap=cap), lambda x, y, z: formula(
@@ -387,8 +421,8 @@ def _split_formulas(ops, formula):
 
 def _two_op_algebras(b):
     sig = Signature.plain(("mul", "circ"))
-    A = HomAlgebra(b["dim"], (), sig, {"mul": b["o"], "circ": b["d"]}, b["a"])
-    B = HomAlgebra(b["dim"], (), sig, {"mul": b["o2"], "circ": b["p2"]}, b["b"])
+    A = HomAlgebra(b["dim"], b["params"], sig, {"mul": b["o"], "circ": b["d"]}, b["a"])
+    B = HomAlgebra(b["dim"], b["params"], sig, {"mul": b["o2"], "circ": b["p2"]}, b["b"])
     return A, B
 
 
@@ -418,7 +452,7 @@ def _morphism_twist(b):
 
 
 def _rota_baxter(b):
-    A = HomAlgebra(b["dim"], (), Signature.plain(("mul",)), {"mul": b["o"]}, b["a"])
+    A = HomAlgebra(b["dim"], b["params"], Signature.plain(("mul",)), {"mul": b["o"]}, b["a"])
     o, R, t = b["o"].apply, b["R"].apply, b["theta"]
     return 2, lambda cap: check_rota_baxter(A, R=b["R"], theta=t, cap=cap), lambda x, y: vec_sub(
         o(R(x), R(y)), R(_sum(o(R(x), y), o(x, R(y)), vec_scale(t, o(x, y)))))
@@ -426,7 +460,7 @@ def _rota_baxter(b):
 
 def _centroid(first):
     def build(b):
-        A = HomAlgebra(b["dim"], (), Signature.plain(("mul",)), {"mul": b["o"]}, b["a"])
+        A = HomAlgebra(b["dim"], b["params"], Signature.plain(("mul",)), {"mul": b["o"]}, b["a"])
         o, a = b["o"].apply, b["f"].apply
         if first:
             formula = lambda x, y: vec_sub(a(o(x, y)), o(a(x), y))  # noqa: E731
@@ -439,7 +473,7 @@ def _centroid(first):
 def _star_derived(first):
     def build(b):
         t = b["theta"]
-        A = HomAlgebra(b["dim"], (), Signature.associative(), {"mul": b["o"]}, b["a"],
+        A = HomAlgebra(b["dim"], b["params"], Signature.associative(), {"mul": b["o"]}, b["a"],
                        RotaBaxter(t, b["R"]))
         o, R = b["o"].apply, b["R"].apply
 
@@ -453,8 +487,14 @@ def _star_derived(first):
             formula = lambda x, y: vec_sub(R(star(x, y)), o(R(x), R(y)))  # noqa: E731
         else:
             formula = lambda x, y: vec_add(Rt(star(x, y)), o(Rt(x), Rt(y)))  # noqa: E731
-        # star_derived reports at the default cap; d = 2 leaves room for all
-        return 2, lambda cap: star_derived(A, force=True)[1], formula
+
+        def run(cap):
+            # star_derived reports at the default cap, which is raised here
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(axioms, "DEFAULT_WITNESS_CAP", cap)
+                return star_derived(A, force=True)[1]
+
+        return 2, run, formula
     return build
 
 
@@ -537,26 +577,28 @@ class TestMultilinearityReduction:
     @pytest.mark.parametrize("ident", _IDENTITY_IDS)
     def test_every_identity_is_its_vector_formula(self, ident):
         # Each identity written directly on random vectors equals the
-        # multilinear combination of the checker's basis residuals.
+        # multilinear combination of the checker's basis residuals, on a dense
+        # dim-2 integer bundle and on a sparse dim-3 bundle over Q[a,b].
         rng = random.Random(11)
-        bundle = _random_bundle(rng, 2)
-        arity, run, direct = _FORMULAS[ident](bundle)
-        report = run(cap=10**6)
-        residuals = {w.indices: w.residual
-                     for w in report.witnesses if w.identity_id == ident}
-        assert residuals, "random data should break every identity somewhere"
-        d = bundle["dim"]
-        for _ in range(2):
-            vectors = [[Scalar.constant(rng.randint(-3, 3)) for _ in range(d)]
-                       for _ in range(arity)]
-            combo = (Scalar.zero(),) * d
-            for indices in itertools.product(range(d), repeat=arity):
-                coeff = Scalar.one()
-                for vector, i in zip(vectors, indices):
-                    coeff = coeff * vector[i]
-                residual = residuals.get(indices, (Scalar.zero(),) * d)
-                combo = vec_add(combo, vec_scale(coeff, residual))
-            assert combo == direct(*vectors)
+        for make_bundle in (lambda: _random_bundle(rng, 2), lambda: _sparse_bundle(rng)):
+            bundle = make_bundle()
+            arity, run, direct = _FORMULAS[ident](bundle)
+            report = run(cap=10**6)
+            residuals = {w.indices: w.residual
+                         for w in report.witnesses if w.identity_id == ident}
+            assert residuals, "random data should break every identity somewhere"
+            d, params = bundle["dim"], bundle["params"]
+            for _ in range(2):
+                vectors = [[Scalar.constant(rng.randint(-3, 3), params) for _ in range(d)]
+                           for _ in range(arity)]
+                combo = (Scalar.zero(params),) * d
+                for indices in itertools.product(range(d), repeat=arity):
+                    coeff = Scalar.one(params)
+                    for vector, i in zip(vectors, indices):
+                        coeff = coeff * vector[i]
+                    residual = residuals.get(indices, (Scalar.zero(params),) * d)
+                    combo = vec_add(combo, vec_scale(coeff, residual))
+                assert combo == direct(*vectors)
 
 
 class TestEquationExpander:

@@ -116,6 +116,17 @@ class TestConstruct:
                            "--set", "a=2", "--set", "b=1", "--n", "1", "--force")
         assert code == 0
 
+    @pytest.mark.parametrize("fixture", ["unital_field", "zero_algebra"])
+    @pytest.mark.parametrize("kind", ["dendriform-star", "dendriform-prelie",
+                                      "tridendriform-star", "embed-trid"])
+    def test_force_still_needs_the_operations(self, capsys, kind, fixture):
+        # --force skips identity checks, not the operations a construction reads
+        code, out, err = run(capsys, "construct", kind, "--fixture", fixture, "--force")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "construction requires operations 'left'" in err
+
     def test_diagram_check(self, capsys, tmp_path):
         A = one_op_algebra(2, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
         instance = attach_rb(A, 0, LinearMap([[0, 0], [1, 0]]))

@@ -265,6 +265,10 @@ class TestProperties:
         assert parse_scalar(str(s), s.params) == s
 
     @given(_polys())
+    def test_truth_is_nonzero(self, s):
+        assert bool(s) == (not s.is_zero())
+
+    @given(_polys())
     def test_canonical_idempotence(self, s):
         assert Scalar(s.params, s.terms) == s
 
