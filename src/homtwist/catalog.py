@@ -94,39 +94,21 @@ def _unital_field() -> HomAlgebra:
     return HomAlgebra(1, (), Signature.associative(), {"mul": mul}, LinearMap.identity(1))
 
 
-_FIXTURES: dict[str, dict] = {
-    "ex_assoc3": {
-        "build": lambda dim: _ex_assoc3(),
-        "params": ("a", "b"),
-        "signature": Signature.associative(),
-        "notes": "3-dimensional two-parameter family with twisted associativity; "
-                 "not associative when a != b and b != 0",
-    },
-    "ex_homlie3": {
-        "build": lambda dim: _ex_homlie3(),
-        "params": ("a", "b", "c", "d"),
-        "signature": Signature.lie(),
-        "notes": "3-dimensional four-parameter bracket with diag(1,2,2) twist; "
-                 "fails the untwisted Jacobi identity when a*c != 0",
-    },
-    "jackson_sl2": {
-        "build": lambda dim: _jackson_sl2(),
-        "params": ("q",),
-        "signature": Signature.lie(),
-        "notes": "q-deformation of sl2; the classical sl2 is recovered at q = 1",
-    },
-    "zero_algebra": {
-        "build": _zero_algebra,
-        "params": (),
-        "signature": Signature.plain(("mul",)),
-        "notes": "all products zero, identity twist; dimension selectable (default 3)",
-    },
-    "unital_field": {
-        "build": lambda dim: _unital_field(),
-        "params": (),
-        "signature": Signature.associative(),
-        "notes": "1-dimensional algebra with e*e = e and identity twist",
-    },
+# name -> (builder taking the dimension, notes); params and signature are read
+# off the built fixture
+_FIXTURES: dict[str, tuple] = {
+    "ex_assoc3": (lambda dim: _ex_assoc3(),
+                  "3-dimensional two-parameter family with twisted associativity; "
+                  "not associative when a != b and b != 0"),
+    "ex_homlie3": (lambda dim: _ex_homlie3(),
+                   "3-dimensional four-parameter bracket with diag(1,2,2) twist; "
+                   "fails the untwisted Jacobi identity when a*c != 0"),
+    "jackson_sl2": (lambda dim: _jackson_sl2(),
+                    "q-deformation of sl2; the classical sl2 is recovered at q = 1"),
+    "zero_algebra": (_zero_algebra,
+                     "all products zero, identity twist; dimension selectable (default 3)"),
+    "unital_field": (lambda dim: _unital_field(),
+                     "1-dimensional algebra with e*e = e and identity twist"),
 }
 
 DEFAULT_ZERO_ALGEBRA_DIM = 3
@@ -142,14 +124,14 @@ def catalog_get(name: str, assignment: Mapping[str, object] | None = None, *,
     """
     if name not in _FIXTURES:
         raise ValueError(f"unknown fixture {name!r}; known: {sorted(_FIXTURES)}")
-    entry = _FIXTURES[name]
+    build, _ = _FIXTURES[name]
     if name == "zero_algebra":
         dim = DEFAULT_ZERO_ALGEBRA_DIM if dim is None else dim
         if not isinstance(dim, int) or dim < 1:
             raise ValueError("zero_algebra dimension must be a positive integer")
     elif dim is not None:
         raise ValueError(f"fixture {name!r} has a fixed dimension")
-    algebra = entry["build"](dim)
+    algebra = build(dim)
     if assignment is None:
         return algebra
     missing = [p for p in algebra.params if p not in assignment]
@@ -159,8 +141,9 @@ def catalog_get(name: str, assignment: Mapping[str, object] | None = None, *,
 
 
 def catalog_list() -> list[FixtureDescriptor]:
-    """Descriptors of every fixture, sorted by name."""
-    return [
-        FixtureDescriptor(name, entry["params"], entry["signature"], entry["notes"])
-        for name, entry in sorted(_FIXTURES.items())
-    ]
+    """Descriptors of every fixture, sorted by name; zero_algebra at its default dimension."""
+    descriptors = []
+    for name, (build, notes) in sorted(_FIXTURES.items()):
+        algebra = build(DEFAULT_ZERO_ALGEBRA_DIM)
+        descriptors.append(FixtureDescriptor(name, algebra.params, algebra.signature, notes))
+    return descriptors

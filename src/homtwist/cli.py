@@ -41,6 +41,10 @@ DOCUMENT_FORMAT = 1
 # -- document serialization ----------------------------------------------------
 
 
+def _strings(m: LinearMap) -> list[list[str]]:
+    return [[str(x) for x in row] for row in m.entries]
+
+
 def to_document(A: HomAlgebra) -> dict:
     """Serialize an algebra to the JSON document structure."""
     doc = {
@@ -55,14 +59,11 @@ def to_document(A: HomAlgebra) -> dict:
             ]
             for name in A.signature.op_names
         },
-        "alpha": [[str(x) for x in row] for row in A.alpha.entries],
+        "alpha": _strings(A.alpha),
         "labels": list(A.basis_labels),
     }
     if A.rb is not None:
-        doc["rb"] = {
-            "weight": str(A.rb.theta),
-            "R": [[str(x) for x in row] for row in A.rb.R.entries],
-        }
+        doc["rb"] = {"weight": str(A.rb.theta), "R": _strings(A.rb.R)}
     return doc
 
 
@@ -294,48 +295,33 @@ def _cmd_search(args) -> int:
             "search needs a parameter-free algebra; evaluate parameters with --set"
         )
     if args.what == "centroid":
-        basis = centroid_basis(algebra)
-        if args.json:
-            print(json.dumps([[[str(x) for x in row] for row in m.entries] for m in basis]))
-        else:
-            print(f"centroid dimension: {len(basis)}")
-            for idx, m in enumerate(basis, start=1):
-                print(f"basis element {idx}:")
-                _print_matrix(m)
-        if args.verify:
-            for m in basis:
-                report = axioms.check_centroid(m, algebra)
-                if not report.passed:
-                    print("verification FAILED for a basis element", file=sys.stderr)
-                    return 1
-            print(f"verified: all {len(basis)} elements pass the centroid check")
-        return 0
-
-    entries = [_parse_rational(piece, "--entries") for piece in args.entries.split(",") if piece]
-    cfg = SearchConfig(entries, weight=_parse_rational(args.weight, "--weight"),
-                       op_name=args.op, limit=args.limit)
-    finder = search_rb_oracle if args.oracle else search_rb
-    solutions = finder(algebra, cfg)
-    if args.json:
-        print(json.dumps([[[str(x) for x in row] for row in m.entries] for m in solutions]))
+        found = centroid_basis(algebra)
+        passes = lambda m: axioms.check_centroid(m, algebra).passed
+        header, item, verified, failed = ("centroid dimension", "basis element",
+                                          "elements pass the centroid check", "a basis element")
     else:
-        print(f"solutions: {len(solutions)}")
-        for idx, m in enumerate(solutions, start=1):
-            print(f"solution {idx}:")
-            _print_matrix(m)
+        entries = [_parse_rational(piece, "--entries") for piece in args.entries.split(",") if piece]
+        cfg = SearchConfig(entries, weight=_parse_rational(args.weight, "--weight"),
+                           op_name=args.op, limit=args.limit)
+        found = (search_rb_oracle if args.oracle else search_rb)(algebra, cfg)
+        weight = Scalar.constant(cfg.weight, algebra.params)
+        passes = lambda m: axioms.check_rota_baxter(algebra, args.op, m, weight).passed
+        header, item, verified, failed = ("solutions", "solution",
+                                          "solutions pass the Rota-Baxter check", "a reported solution")
+    if args.json:
+        print(json.dumps([_strings(m) for m in found]))
+    else:
+        print(f"{header}: {len(found)}")
+        for idx, m in enumerate(found, start=1):
+            print(f"{item} {idx}:")
+            for row in _strings(m):
+                print("  [" + ", ".join(row) + "]")
     if args.verify:
-        for m in solutions:
-            report = axioms.check_rota_baxter(algebra, args.op, m, Scalar.constant(cfg.weight, algebra.params))
-            if not report.passed:
-                print("verification FAILED for a reported solution", file=sys.stderr)
-                return 1
-        print(f"verified: all {len(solutions)} solutions pass the Rota-Baxter check")
+        if not all(passes(m) for m in found):
+            print(f"verification FAILED for {failed}", file=sys.stderr)
+            return 1
+        print(f"verified: all {len(found)} {verified}")
     return 0
-
-
-def _print_matrix(m: LinearMap):
-    for row in m.entries:
-        print("  [" + ", ".join(str(x) for x in row) + "]")
 
 
 def _cmd_catalog(args) -> int:
@@ -472,3 +458,7 @@ def main(argv=None) -> int:
 
 def console_main():  # pragma: no cover - thin wrapper for the entry point
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

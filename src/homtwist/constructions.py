@@ -135,13 +135,9 @@ def derived_algebra(A: HomAlgebra, n: int, kind: str = "type1", *, force: bool =
     if not force:
         _require(axioms.check_multiplicative(A), "algebra is not multiplicative")
         _require_rb_commutes(A, A.alpha)
-    if kind == "type1":
-        s, t = n, n + 1
-    else:
-        s, t = 2**n - 1, 2**n
-    power = A.alpha.power(s)
+    power = A.alpha.power(n if kind == "type1" else 2**n - 1)
     ops = {name: op.compose_output(power) for name, op in A.ops.items()}
-    return replace(A, ops=ops, alpha=A.alpha.power(t))
+    return replace(A, ops=ops, alpha=A.alpha.compose(power))
 
 
 def centroid_twist(A: HomAlgebra, alpha: LinearMap, variant: int, *, force: bool = False) -> HomAlgebra:
@@ -260,22 +256,15 @@ def rb_dendriform(A: HomAlgebra, weighted: bool = False, *, force: bool = False)
     With weighted=False the operator weight must be 0; with weighted=True the
     algebra's own weight enters the left operation.
     """
-    theta, R = _rb_data(A)
+    _rb_data(A)
     if not force:
         if not weighted:
             _require_weight(A, Fraction(0), "operator weight must be 0 (use weighted=True otherwise)")
         _check_rb_assoc(A)
-    op = A.op
-    left = op.precompose(right=R)
-    if weighted:
-        left = left + op.scale(theta)
-    right = op.precompose(left=R)
-    return replace(
-        A,
-        ops={"left": left, "right": right},
-        signature=Signature.dendriform(),
-        rb=None,
-    )
+    T = rb_tridendriform(A, force=True)
+    left, right, dot = _fixed_ops(T, "tridendriform")
+    ops = {"left": left + dot if weighted else left, "right": right}
+    return replace(T, ops=ops, signature=Signature.dendriform())
 
 
 def rb_tridendriform(A: HomAlgebra, *, force: bool = False) -> HomAlgebra:
@@ -310,13 +299,11 @@ def star_derived(A: HomAlgebra, *, force: bool = False) -> tuple[HomAlgebra, axi
     all basis pairs that R(x * y) = R(x) o R(y) (identity SD1) and that
     Rt(x * y) = -Rt(x) o Rt(y) for Rt = -theta id - R (identity SD2).
     """
-    theta, R = _rb_data(A)
+    _, R = _rb_data(A)
     if not force:
         _check_rb_assoc(A)
-    op = A.op
-    star = op.precompose(right=R) + op.precompose(left=R) + op.scale(theta)
-    rt = LinearMap.identity(A.dim, A.params).scale(-theta) - R
-    env = {"o": op, "*": star, "R": R, "Rt": rt}
+    star = tridendriform_star(rb_tridendriform(A, force=True), force=True).op
+    env = {"o": A.op, "*": star, "R": R, "Rt": rb_complement(A).rb.R}
     groups = (axioms._group(2, "SD1"), axioms._group(2, "SD2"))
     report = axioms._scan("star-derived", groups, env, A, axioms.DEFAULT_WITNESS_CAP)
     algebra = replace(A, ops={"mul": star}, signature=Signature.associative(), rb=None)

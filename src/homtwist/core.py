@@ -32,7 +32,6 @@ __all__ = [
     "vec_add",
     "vec_sub",
     "vec_scale",
-    "vec_is_zero",
     "basis_vector",
 ]
 
@@ -68,10 +67,6 @@ def vec_scale(s, u: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(s * a for a in u)
 
 
-def vec_is_zero(u: Sequence[Scalar]) -> bool:
-    return all(a.is_zero() for a in u)
-
-
 # -- linear maps --------------------------------------------------------------
 
 
@@ -92,6 +87,9 @@ class LinearMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearMap is immutable")
+
+    def __reduce__(self):
+        return LinearMap, (self.entries, self.params)
 
     @classmethod
     def identity(cls, dim: int, params: Iterable[str] = ()) -> "LinearMap":
@@ -180,10 +178,7 @@ class LinearMap:
     def __sub__(self, other):
         if not isinstance(other, LinearMap) or other.dim != self.dim:
             return NotImplemented
-        return LinearMap(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            self.params,
-        )
+        return self + other.scale(-1)
 
     def __eq__(self, other):
         return (
@@ -258,6 +253,9 @@ class BilinearOp:
 
     def __setattr__(self, name, value):
         raise AttributeError("BilinearOp is immutable")
+
+    def __reduce__(self):
+        return BilinearOp, (self.c, self.params)
 
     @classmethod
     def zero(cls, dim: int, params: Iterable[str] = ()) -> "BilinearOp":
@@ -497,9 +495,7 @@ class HomAlgebra:
     @property
     def op(self) -> BilinearOp:
         """The unique operation of a one-operation algebra."""
-        if len(self.ops) != 1:
-            raise ValueError("algebra has more than one operation; name it explicitly")
-        return next(iter(self.ops.values()))
+        return self.ops[self.op_name]
 
     @property
     def op_name(self) -> str:

@@ -157,6 +157,9 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        return Scalar, (tuple(self.params), self.terms)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod

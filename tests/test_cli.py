@@ -1,11 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homtwist
+from homtwist import axioms
 from homtwist.catalog import catalog_get
 from homtwist.cli import from_document, load_algebra, main, save_algebra, to_document
 from homtwist.constructions import derived_algebra, rb_dendriform
@@ -420,3 +426,81 @@ class TestDocuments:
         doc = to_document(A)
         assert doc["labels"] == ["x1", "x2", "x3"]
         assert from_document(doc).basis_labels == ("x1", "x2", "x3")
+
+
+class TestSearchOutput:
+    """The exact stdout of the search listings and of their verification."""
+
+    RB = ("search", "rb", "--fixture", "unital_field", "--weight", "1", "--verify")
+    CENTROID = ("search", "centroid", "--fixture", "zero_algebra", "--dim", "2", "--verify")
+
+    def test_rb_text(self, capsys):
+        assert run(capsys, *self.RB) == (0, (
+            "solutions: 2\n"
+            "solution 1:\n"
+            "  [-1]\n"
+            "solution 2:\n"
+            "  [0]\n"
+            "verified: all 2 solutions pass the Rota-Baxter check\n"
+        ), "")
+
+    def test_rb_json(self, capsys):
+        assert run(capsys, *self.RB, "--json") == (0, (
+            '[[["-1"]], [["0"]]]\n'
+            "verified: all 2 solutions pass the Rota-Baxter check\n"
+        ), "")
+
+    def test_centroid_text(self, capsys):
+        assert run(capsys, *self.CENTROID) == (0, (
+            "centroid dimension: 4\n"
+            "basis element 1:\n  [1, 0]\n  [0, 0]\n"
+            "basis element 2:\n  [0, 1]\n  [0, 0]\n"
+            "basis element 3:\n  [0, 0]\n  [1, 0]\n"
+            "basis element 4:\n  [0, 0]\n  [0, 1]\n"
+            "verified: all 4 elements pass the centroid check\n"
+        ), "")
+
+    def test_centroid_json(self, capsys):
+        assert run(capsys, *self.CENTROID, "--json") == (0, (
+            '[[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]], '
+            '[["0", "0"], ["1", "0"]], [["0", "0"], ["0", "1"]]]\n'
+            "verified: all 4 elements pass the centroid check\n"
+        ), "")
+
+    @pytest.mark.parametrize("argv, checker, message", [
+        (RB, "check_rota_baxter", "verification FAILED for a reported solution\n"),
+        (CENTROID, "check_centroid", "verification FAILED for a basis element\n"),
+    ])
+    def test_verification_failure(self, capsys, monkeypatch, argv, checker, message):
+        monkeypatch.setattr(axioms, checker,
+                            lambda *args: axioms.AxiomReport(checker, passed=False))
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == message
+        assert "verified" not in out
+
+
+@pytest.mark.parametrize("module", ["homtwist", "homtwist.cli"])
+class TestModuleEntry:
+    """``python -m homtwist`` and ``python -m homtwist.cli`` run the command."""
+
+    @staticmethod
+    def run_module(module, *argv):
+        src = str(Path(homtwist.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+    def test_catalog(self, module):
+        done = self.run_module(module, "catalog")
+        assert done.returncode == 0
+        assert done.stderr == ""
+        for name in ("ex_assoc3", "ex_homlie3", "jackson_sl2", "unital_field", "zero_algebra"):
+            assert name in done.stdout
+
+    def test_forced_construction_error(self, module):
+        done = self.run_module(module, "construct", "dendriform-star",
+                               "--fixture", "unital_field", "--force")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

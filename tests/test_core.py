@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from homtwist.core import (
     BilinearOp,
     HomAlgebra,
     LinearMap,
+    RotaBaxter,
     Signature,
     basis_vector,
     nullspace,
@@ -227,3 +230,38 @@ def test_compose_associative_identity_neutral():
     assert m1.compose(m2).compose(m3) == m1.compose(m2.compose(m3))
     assert m1.compose(LinearMap.identity(2)) == m1
     assert LinearMap.identity(2).compose(m1) == m1
+
+
+class TestCopyAndPickle:
+    """Immutable values copy and pickle by rebuilding through their constructors."""
+
+    @staticmethod
+    def values():
+        A = catalog_get("ex_assoc3")
+        a = Scalar.variable("a", A.params)
+        A = A.with_rb(RotaBaxter(a, LinearMap.diagonal([a, 0, -1], A.params)))
+        return [A.rb.theta, Scalar.constant(Fraction(-3, 4)), A.alpha, A.rb.R,
+                LinearMap.identity(2), A.op, BilinearOp.zero(2), A]
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_round_trip(self, clone):
+        for value in self.values():
+            twin = clone(value)
+            assert type(twin) is type(value)
+            assert twin == value
+            assert str(twin) == str(value)
+
+    def test_copy_keeps_working(self):
+        A = self.values()[-1]
+        B = pickle.loads(pickle.dumps(A))
+        assert B.rb.R.support == A.rb.R.support
+        assert B.op.support == A.op.support
+        assert B.rb.theta * 2 == A.rb.theta + Scalar.variable("a", A.params)
+
+    def test_rebuilt_by_the_constructor(self):
+        for value in self.values()[:-1]:
+            cls, args = value.__reduce__()
+            assert cls is type(value)
+            assert cls(*args) == value
