@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import axioms, constructions
 from .catalog import catalog_get, catalog_list
 from .core import FIXED_OPS, BilinearOp, HomAlgebra, LinearMap, RotaBaxter, Signature
-from .scalar import ParseError, Scalar, parse_scalar
+from .scalar import Scalar, parse_scalar
 from .search import SearchConfig, centroid_basis, search_rb, search_rb_oracle
 
 __all__ = ["to_document", "from_document", "save_algebra", "load_algebra", "main", "console_main"]
@@ -97,8 +97,9 @@ def from_document(doc: dict) -> HomAlgebra:
     ops_obj = doc.get("ops")
     if not isinstance(ops_obj, dict) or not ops_obj:
         raise ValueError("ops must be a nonempty object")
-    op_names = FIXED_OPS.get(cls, tuple(sorted(ops_obj)))
-    signature = Signature(cls, op_names)
+    # a list or object is no class name; Signature refuses it
+    fixed = isinstance(cls, str) and FIXED_OPS.get(cls)
+    signature = Signature(cls, fixed or tuple(sorted(ops_obj)))
     ops = {}
     for name in signature.op_names:
         if name not in ops_obj:
@@ -133,9 +134,16 @@ def save_algebra(A: HomAlgebra, path: str):
         fh.write("\n")
 
 
-def load_algebra(path: str) -> HomAlgebra:
+def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return from_document(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def load_algebra(path: str) -> HomAlgebra:
+    return from_document(_read_json(path))
 
 
 # -- shared helpers --------------------------------------------------------------
@@ -219,8 +227,7 @@ def _cmd_check(args) -> int:
 def _load_map(algebra: HomAlgebra, args) -> LinearMap:
     if not args.map:
         raise UsageError(f"{args.kind} requires --map FILE")
-    with open(args.map, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _read_json(args.map)
     if isinstance(obj, dict) and "entries" in obj:
         obj = obj["entries"]
     return _parse_matrix(obj, algebra.dim, algebra.params, "map")
@@ -451,7 +458,7 @@ def main(argv=None) -> int:
     except constructions.PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

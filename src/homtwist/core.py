@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
+from operator import add, methodcaller
 from typing import Iterable, Mapping, Sequence
 
 from .scalar import Scalar, _validated_params, as_rational
@@ -67,13 +68,87 @@ def vec_scale(s, u: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(s * a for a in u)
 
 
-# -- linear maps --------------------------------------------------------------
+# -- tensors ------------------------------------------------------------------
 
 
-class LinearMap:
+def _cellwise(f, arrays, depth: int) -> list:
+    """``f`` over the cells of equally shaped nested tuples, as nested lists."""
+    if depth == 1:
+        return list(map(f, *arrays))
+    return [_cellwise(f, rows, depth - 1) for rows in zip(*arrays)]
+
+
+class _Tensor:
+    """Immutability and cell-by-cell arithmetic of the tensor classes; each sets
+    ``_rank`` and exposes its nested tuple of Scalars as ``_cells``."""
+
+    __slots__ = ("dim", "params", "_support")
+    _rank: int
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self._cells, self.params)
+
+    @classmethod
+    def zero(cls, dim: int, params: Iterable[str] = ()):
+        cells = 0
+        for _ in range(cls._rank):
+            cells = [cells] * dim
+        return cls(cells, params)
+
+    def _flat(self) -> Iterable[Scalar]:
+        cells = self._cells
+        for _ in range(self._rank - 1):
+            cells = chain.from_iterable(cells)
+        return cells
+
+    def _map(self, f, *others):
+        arrays = (self._cells, *(other._cells for other in others))
+        return type(self)(_cellwise(f, arrays, self._rank), self.params)
+
+    def scale(self, s):
+        return self._map(_coerce_scalar(s, self.params).__mul__)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)) or other.dim != self.dim:
+            return NotImplemented
+        return self._map(add, other)
+
+    def __sub__(self, other):
+        return self.__add__(-other) if isinstance(other, _Tensor) else NotImplemented
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.dim == other.dim
+            and self.params == other.params
+            and self._cells == other._cells
+        )
+
+    __hash__ = None
+
+    def is_zero(self) -> bool:
+        return not any(self._flat())
+
+    def is_constant(self) -> bool:
+        return all(x.is_constant() for x in self._flat())
+
+    def substitute(self, assignment: Mapping[str, object]):
+        cells = _cellwise(methodcaller("substitute", assignment), (self._cells,), self._rank)
+        return type(self)(cells, tuple(p for p in self.params if p not in assignment))
+
+
+class LinearMap(_Tensor):
     """A square matrix of Scalars acting on column coordinate vectors."""
 
-    __slots__ = ("dim", "params", "entries", "_support")
+    __slots__ = ("entries",)
+    _rank = 2
+    _cells = property(lambda self: self.entries)
 
     def __init__(self, entries: Sequence[Sequence[object]], params: Iterable[str] = ()):
         params = _validated_params(params)
@@ -85,19 +160,9 @@ class LinearMap:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "entries", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearMap is immutable")
-
-    def __reduce__(self):
-        return LinearMap, (self.entries, self.params)
-
     @classmethod
     def identity(cls, dim: int, params: Iterable[str] = ()) -> "LinearMap":
         return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)], params)
-
-    @classmethod
-    def zero(cls, dim: int, params: Iterable[str] = ()) -> "LinearMap":
-        return cls([[0] * dim for _ in range(dim)], params)
 
     @classmethod
     def diagonal(cls, values: Sequence[object], params: Iterable[str] = ()) -> "LinearMap":
@@ -163,38 +228,8 @@ class LinearMap:
             n >>= 1
         return result
 
-    def scale(self, s) -> "LinearMap":
-        s = _coerce_scalar(s, self.params)
-        return LinearMap([[s * x for x in row] for row in self.entries], self.params)
-
-    def __add__(self, other):
-        if not isinstance(other, LinearMap) or other.dim != self.dim:
-            return NotImplemented
-        return LinearMap(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            self.params,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, LinearMap) or other.dim != self.dim:
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearMap)
-            and self.dim == other.dim
-            and self.params == other.params
-            and self.entries == other.entries
-        )
-
-    __hash__ = None
-
     def is_identity(self) -> bool:
         return self == LinearMap.identity(self.dim, self.params)
-
-    def is_constant(self) -> bool:
-        return all(x.is_constant() for row in self.entries for x in row)
 
     def to_fraction_rows(self) -> list[list[Fraction]]:
         if not self.is_constant():
@@ -218,23 +253,17 @@ class LinearMap:
     def commutes_with(self, other: "LinearMap") -> bool:
         return self.compose(other) == other.compose(self)
 
-    def substitute(self, assignment: Mapping[str, object]) -> "LinearMap":
-        rows = [[x.substitute(assignment) for x in row] for row in self.entries]
-        kept = rows[0][0].params if rows else ()
-        return LinearMap(rows, kept)
-
     def __repr__(self):
         rows = "; ".join(", ".join(str(x) for x in row) for row in self.entries)
         return f"LinearMap[{rows}]"
 
 
-# -- bilinear operations -------------------------------------------------------
-
-
-class BilinearOp:
+class BilinearOp(_Tensor):
     """A bilinear operation as a dim x dim x dim tensor of Scalars."""
 
-    __slots__ = ("dim", "params", "c", "_support")
+    __slots__ = ("c",)
+    _rank = 3
+    _cells = property(lambda self: self.c)
 
     def __init__(self, c: Sequence[Sequence[Sequence[object]]], params: Iterable[str] = ()):
         params = _validated_params(params)
@@ -250,16 +279,6 @@ class BilinearOp:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "c", tensor)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BilinearOp is immutable")
-
-    def __reduce__(self):
-        return BilinearOp, (self.c, self.params)
-
-    @classmethod
-    def zero(cls, dim: int, params: Iterable[str] = ()) -> "BilinearOp":
-        return cls([[[0] * dim for _ in range(dim)] for _ in range(dim)], params)
 
     @property
     def support(self) -> tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]:
@@ -311,15 +330,22 @@ class BilinearOp:
             if m is not None and m.dim != self.dim:
                 raise ValueError("dimension mismatch")
         d = self.dim
-        lcols = [
-            left.col(i) if left is not None else basis_vector(i, d, self.params)
-            for i in range(d)
-        ]
-        rcols = [
-            right.col(j) if right is not None else basis_vector(j, d, self.params)
-            for j in range(d)
-        ]
-        c = [[self.apply(lcols[i], rcols[j]) for j in range(d)] for i in range(d)]
+        zero = Scalar.zero(self.params)
+        # the column supports of each side; e_i where a side is None
+        unit = tuple(((i, Scalar.one(self.params)),) for i in range(d))
+        lcols = unit if left is None else left.support
+        rcols = unit if right is None else right.support
+        support = self.support
+        c = [[[zero] * d for _ in range(d)] for _ in range(d)]
+        for i, lcol in enumerate(lcols):
+            for j, rcol in enumerate(rcols):
+                out = c[i][j]
+                for p, x in lcol:
+                    row = support[p]
+                    for q, y in rcol:
+                        xy = x * y
+                        for k, a in row[q]:
+                            out[k] = out[k] + xy * a
         return BilinearOp(c, self.params)
 
     def opposite(self) -> "BilinearOp":
@@ -328,58 +354,6 @@ class BilinearOp:
         return BilinearOp(
             [[self.c[j][i] for j in range(d)] for i in range(d)], self.params
         )
-
-    def scale(self, s) -> "BilinearOp":
-        s = _coerce_scalar(s, self.params)
-        return BilinearOp(
-            [[[s * x for x in vec] for vec in row] for row in self.c], self.params
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, BilinearOp) or other.dim != self.dim:
-            return NotImplemented
-        return BilinearOp(
-            [
-                [
-                    [a + b for a, b in zip(v1, v2)]
-                    for v1, v2 in zip(r1, r2)
-                ]
-                for r1, r2 in zip(self.c, other.c)
-            ],
-            self.params,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, BilinearOp) or other.dim != self.dim:
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BilinearOp)
-            and self.dim == other.dim
-            and self.params == other.params
-            and self.c == other.c
-        )
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.c for vec in row for x in vec)
-
-    def is_constant(self) -> bool:
-        return all(x.is_constant() for row in self.c for vec in row for x in vec)
-
-    def substitute(self, assignment: Mapping[str, object]) -> "BilinearOp":
-        c = [
-            [[x.substitute(assignment) for x in vec] for vec in row]
-            for row in self.c
-        ]
-        kept = c[0][0][0].params if c else ()
-        return BilinearOp(c, kept)
 
     def __repr__(self):
         return f"BilinearOp(dim={self.dim})"
@@ -511,14 +485,8 @@ class HomAlgebra:
         return name, self.ops[name]
 
     def is_parameter_free(self) -> bool:
-        if not all(op.is_constant() for op in self.ops.values()):
-            return False
-        if not self.alpha.is_constant():
-            return False
-        if self.rb is not None:
-            if not (self.rb.R.is_constant() and self.rb.theta.is_constant()):
-                return False
-        return True
+        rb = () if self.rb is None else (self.rb.R, self.rb.theta)
+        return all(x.is_constant() for x in (*self.ops.values(), self.alpha, *rb))
 
     # -- derived copies -----------------------------------------------------
 

@@ -421,6 +421,31 @@ class TestDocuments:
         assert out == ""
         assert "nesting deeper than 100 levels" in err and "Traceback" not in err
 
+    def test_signature_must_be_a_name(self, capsys, tmp_path):
+        doc = to_document(catalog_get("unital_field"))
+        path = tmp_path / "bad.json"
+        for signature in (["associative"], {"a": 1}):
+            bad = dict(doc, signature=signature)
+            with pytest.raises(ValueError, match="unknown signature class"):
+                from_document(bad)
+            path.write_text(json.dumps(bad))
+            code, out, err = run(capsys, "check", str(path), "--class", "hom-associative")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "{path}", "--class", "associative"),
+        ("construct", "yau-twist", "--fixture", "unital_field", "--map", "{path}"),
+    ], ids=["file", "map"])
+    def test_deeply_nested_json_refused(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_labels_survive(self):
         A = catalog_get("ex_assoc3")
         doc = to_document(A)

@@ -265,3 +265,105 @@ class TestCopyAndPickle:
             cls, args = value.__reduce__()
             assert cls is type(value)
             assert cls(*args) == value
+
+
+# -- tensor behaviour, pinned cell by cell ---------------------------------------
+
+_POOL = {(): ["1", "-2", "1/3", "5/2", "-7"],
+         ("a", "b"): ["1", "-2/3", "a", "b - 1", "a*b", "a^2 - 3/2*b", "-a + 2*b^2"]}
+
+
+def _random_cells(rng, shape, params, density=0.5):
+    """Nested lists of the given shape; each cell nonzero with probability ``density``."""
+    if len(shape) > 1:
+        return [_random_cells(rng, shape[1:], params, density) for _ in range(shape[0])]
+    return [parse_scalar(rng.choice(_POOL[params]), params) if rng.random() < density
+            else Scalar.zero(params) for _ in range(shape[0])]
+
+
+def _flat(cells, rank):
+    for _ in range(rank - 1):
+        cells = [x for row in cells for x in row]
+    return list(cells)
+
+
+_TENSORS = [
+    (LinearMap, 2, "entries", "linear map must be a nonempty square matrix", BilinearOp),
+    (BilinearOp, 3, "c", "structure constants must form a cubic tensor", LinearMap),
+]
+
+
+@pytest.mark.parametrize("cls, rank, field, shape_error, other_cls", _TENSORS,
+                         ids=["LinearMap", "BilinearOp"])
+def test_tensor_arithmetic_is_cellwise(cls, rank, field, shape_error, other_cls):
+    rng = random.Random(20110103)
+    params, d = ("a", "b"), 3
+    xs, ys = (_random_cells(rng, (d,) * rank, params) for _ in range(2))
+    x, y = cls(xs, params), cls(ys, params)
+    cells = lambda t: _flat(getattr(t, field), rank)
+    X, Y = _flat(xs, rank), _flat(ys, rank)
+
+    ragged = copy.deepcopy(xs)
+    inner = ragged
+    for _ in range(rank - 1):
+        inner = inner[-1]
+    inner.pop()
+    for bad in ([], ragged):
+        with pytest.raises(ValueError) as exc:
+            cls(bad, params)
+        assert str(exc.value) == shape_error
+    with pytest.raises(AttributeError) as exc:
+        x.dim = 2
+    assert str(exc.value) == f"{cls.__name__} is immutable"
+
+    other = other_cls.zero(d, params)
+    assert (x == other) is False and (other == x) is False
+    assert cls.zero(d, params) != cls.zero(d, ("a",))
+    assert cls.zero(d, params) != cls.zero(d, ("b", "a"))
+    assert cls(xs, params) == x and x != y
+    with pytest.raises(TypeError):
+        x + other
+    with pytest.raises(TypeError):
+        x - other
+
+    zero = cls.zero(d, params)
+    assert type(zero) is cls and zero.params == params
+    assert cells(zero) == [Scalar.zero(params)] * d ** rank
+    s = parse_scalar("2*a - 1/2", params)
+    assignment = {"a": Fraction(2, 3)}
+    for result, expected in [
+        (x.scale(s), [s * u for u in X]),
+        (x.scale(3), [3 * u for u in X]),
+        (x + y, [u + v for u, v in zip(X, Y)]),
+        (x - y, [u - v for u, v in zip(X, Y)]),
+        (x.substitute(assignment), [u.substitute(assignment) for u in X]),
+    ]:
+        assert type(result) is cls
+        assert cells(result) == expected
+    assert x.substitute(assignment).params == ("b",)
+    assert x.is_constant() == all(u.is_constant() for u in X)
+    assert x.substitute({"a": 1, "b": -2}).is_constant() and zero.is_constant()
+
+
+@pytest.mark.parametrize("params", [(), ("a", "b")], ids=["Q", "Qab"])
+def test_precompose_matches_apply(params):
+    rng = random.Random(1101)
+    for d in range(1, 5):
+        op = BilinearOp(_random_cells(rng, (d, d, d), params, density=0.3), params)
+        maps = [None, LinearMap(_random_cells(rng, (d, d), params), params)]
+        for left in maps:
+            for right in maps:
+                result = op.precompose(left, right)
+                for i in range(d):
+                    u = left.col(i) if left is not None else basis_vector(i, d, params)
+                    for j in range(d):
+                        v = right.col(j) if right is not None else basis_vector(j, d, params)
+                        assert result.pair(i, j) == op.apply(u, v)
+
+
+def test_linear_map_negation_and_is_zero():
+    params = ("a", "b")
+    m = LinearMap([[parse_scalar("a", params), 0], [1, parse_scalar("-b", params)]], params)
+    assert -m == m.scale(-1)
+    assert (m + -m).is_zero() and (m - m).is_zero()
+    assert not m.is_zero() and LinearMap.zero(2, ("a", "b")).is_zero()
