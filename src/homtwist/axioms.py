@@ -288,17 +288,14 @@ def _expand(ids, arity: int, data: dict, unknown: str, d: int) -> list[dict]:
     """The rows' residual coordinates as polynomials in the entries of one map.
 
     Entry (p, i) of the map named ``unknown``, coordinate p of the image of
-    e_i, is variable p*d + i.  ``data`` binds each operation to its structure
-    constants c[i][j][k] and each named coefficient to a number.  For every
-    basis tuple in lexicographic order, id and coordinate k in ascending
-    order, a coordinate that is not identically zero is returned as
-    ``{sorted variable tuple: coefficient}``.
+    e_i, is variable p*d + i.  ``data`` binds each operation to its support,
+    the nonzero (k, c[i][j][k]) of each basis pair, and each named coefficient
+    to a number.  For every basis tuple in lexicographic order, id and
+    coordinate k in ascending order, a coordinate that is not identically zero
+    is returned as ``{sorted variable tuple: coefficient}``.
     """
     _, (plan, _), _ = _group(arity, *ids, unknown=unknown)
-    bound = {"1": 1, unknown: [[(p, p * d + i) for p in range(d)] for i in range(d)]}
-    for name, x in data.items():
-        bound[name] = ([[[(k, c) for k, c in enumerate(vec) if c] for vec in row] for row in x]
-                       if isinstance(x, list) else x)
+    bound = {**data, "1": 1, unknown: [[(p, p * d + i) for p in range(d)] for i in range(d)]}
     polys = []
     for _, _, residual in _residuals(plan, arity, d, bound):
         coords: dict = {}

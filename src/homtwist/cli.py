@@ -30,8 +30,8 @@ from fractions import Fraction
 
 from . import axioms, constructions
 from .catalog import catalog_get, catalog_list
-from .core import FIXED_OPS, BilinearOp, HomAlgebra, LinearMap, RotaBaxter, Signature
-from .scalar import Scalar, parse_scalar
+from .core import BilinearOp, HomAlgebra, LinearMap, RotaBaxter, Signature
+from .scalar import Scalar, as_rational, parse_scalar
 from .search import SearchConfig, centroid_basis, search_rb, search_rb_oracle
 
 __all__ = ["to_document", "from_document", "save_algebra", "load_algebra", "main", "console_main"]
@@ -84,10 +84,11 @@ def from_document(doc: dict) -> HomAlgebra:
     """Parse a document dict back into an algebra (strict schema)."""
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
-    if doc.get("format") != DOCUMENT_FORMAT:
+    # bool is an int and 1.0 == 1: both are refused
+    if type(doc.get("format")) is not int or doc["format"] != DOCUMENT_FORMAT:
         raise ValueError(f"unsupported document format: {doc.get('format')!r}")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ValueError("dim must be a positive integer")
     params = doc.get("params", [])
     if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
@@ -97,13 +98,10 @@ def from_document(doc: dict) -> HomAlgebra:
     ops_obj = doc.get("ops")
     if not isinstance(ops_obj, dict) or not ops_obj:
         raise ValueError("ops must be a nonempty object")
-    # a list or object is no class name; Signature refuses it
-    fixed = isinstance(cls, str) and FIXED_OPS.get(cls)
-    signature = Signature(cls, fixed or tuple(sorted(ops_obj)))
+    # Signature refuses a bad class or op set and puts fixed ops in their order
+    signature = Signature(cls, tuple(sorted(ops_obj)))
     ops = {}
     for name in signature.op_names:
-        if name not in ops_obj:
-            raise ValueError(f"missing operation {name!r}")
         table = ops_obj[name]
         if not _is_array(table, dim, 3):
             raise ValueError(f"operation {name!r} must be a {dim}x{dim}x{dim} array")
@@ -155,7 +153,7 @@ class UsageError(ValueError):
 
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
-        return Fraction(text)
+        return as_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational in {what}: {exc}") from exc
 

@@ -378,7 +378,6 @@ class Signature:
         if self.cls not in CLASSES:
             raise ValueError(f"unknown signature class {self.cls!r}")
         names = tuple(self.op_names)
-        object.__setattr__(self, "op_names", names)
         if len(set(names)) != len(names) or not names:
             raise ValueError("operation names must be nonempty and unique")
         if self.cls in ONE_OP_CLASSES and len(names) != 1:
@@ -389,6 +388,7 @@ class Signature:
             raise ValueError(
                 f"{self.cls} signature requires operations {', '.join(first)} and {last}"
             )
+        object.__setattr__(self, "op_names", fixed or names)
 
     @classmethod
     def associative(cls, op: str = "mul") -> "Signature":
@@ -530,11 +530,18 @@ def _rational(x) -> Fraction:
     return x.constant_value() if isinstance(x, Scalar) else as_rational(x)
 
 
-def _eliminate(rows: Sequence[Sequence[object]]) -> tuple[list[dict[int, Fraction]], list[int]]:
+def _sparse_rows(rows: Sequence[Sequence[object]]) -> list[dict[int, Fraction]]:
+    """Dense rows of rationals or constant Scalars as dicts of their nonzero cells."""
+    # zero ints, Fractions and Scalars are skipped before any coercion
+    cells = [{j: _rational(row[j]) for j in compress(range(len(row)), row)} for row in rows]
+    return [{j: v for j, v in row.items() if v} for row in cells]
+
+
+def _eliminate(rows: Iterable[Mapping[int, object]]) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Sparse Gauss-Jordan elimination; returns (pivot rows, pivot columns).
 
-    ``rows`` must be nonempty.  Rows become dicts of their nonzero cells, each scaled so that its leading
-    entry is 1; zero rows and scaled repeats of an earlier row are dropped.
+    A row maps columns, in any order, to nonzero rationals.  Each is scaled so that its
+    leading entry is 1; zero rows and scaled repeats of an earlier row are dropped.
     Every unpivoted row has no entry left of the current column, so the
     candidates for column ``col`` are the rows that lead there.  The shortest
     of them becomes the pivot (Markowitz's sparsest-row rule), and ``col`` is
@@ -542,21 +549,14 @@ def _eliminate(rows: Sequence[Sequence[object]]) -> tuple[list[dict[int, Fractio
     """
     seen: set[tuple] = set()
     leading: dict[int, list[dict[int, Fraction]]] = {}
-    columns = range(len(rows[0]))
     for row in rows:
-        entries = {}
-        # zero ints, Fractions and Scalars are skipped before any coercion
-        for j in compress(columns, row):
-            v = _rational(row[j])
-            if v:
-                entries[j] = v
-        if not entries:
+        if not row:
             continue
-        lead = min(entries)
-        scale = entries[lead]
-        if scale != 1:
-            entries = {j: v / scale for j, v in entries.items()}
-        key = tuple(entries.items())
+        lead = min(row)
+        # through a Fraction: int / int would give a float
+        scale = Fraction(row[lead])
+        entries = {j: v / scale for j, v in row.items()} if scale != 1 else dict(row)
+        key = tuple(sorted(entries.items()))
         if key not in seen:
             seen.add(key)
             leading.setdefault(lead, []).append(entries)
@@ -566,7 +566,7 @@ def _eliminate(rows: Sequence[Sequence[object]]) -> tuple[list[dict[int, Fractio
         col = min(leading)
         candidates = leading.pop(col)
         chosen = min(candidates, key=len)
-        p = chosen[col]
+        p = Fraction(chosen[col])
         pivot = chosen if p == 1 else {j: v / p for j, v in chosen.items()}
         for row in candidates:
             if row is not chosen:
@@ -601,7 +601,7 @@ def rref(rows: Sequence[Sequence[object]]) -> tuple[list[list[Fraction]], list[i
     if not rows:
         return [], []
     ncols = len(rows[0])
-    reduced, pivots = _eliminate(rows)
+    reduced, pivots = _eliminate(_sparse_rows(rows))
     zero = Fraction(0)
     dense = []
     for entries in reduced:
@@ -624,6 +624,11 @@ def nullspace(rows: Sequence[Sequence[object]]) -> list[tuple[Fraction, ...]]:
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged rows")
+    return _nullspace(_sparse_rows(rows), ncols)
+
+
+def _nullspace(rows: Iterable[Mapping[int, object]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """``nullspace`` of sparse rows, as ``_eliminate`` takes them, in ``ncols`` unknowns."""
     reduced, pivots = _eliminate(rows)
     pivot_set = set(pivots)
     zero, one = Fraction(0), Fraction(1)

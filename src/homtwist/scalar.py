@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import log2
 from operator import add, sub
 from typing import Collection, Iterable, Mapping
 
@@ -35,6 +36,9 @@ _ZERO = Fraction(0)
 #: about ``e * (g + log2 t)`` bits, where ``g`` bounds the bits of a base
 #: coefficient beyond those of 1; a power of ``a`` or ``-a`` costs nothing.
 MAX_POWER_BITS = 100_000
+
+# the decimal exponent of a rational string such as "1.5e-3"
+_EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 #: Deepest nesting of parentheses and unary minus signs that the parser reads;
 #: each level costs a few interpreter frames.
@@ -55,13 +59,18 @@ def as_rational(value) -> Fraction:
     """Coerce ints, Fractions and strings like ``-3/7`` to a Fraction.
 
     Floats are rejected: they would silently smuggle inexactness into what is
-    otherwise an exact computation.
+    otherwise an exact computation.  A string whose decimal exponent ``e`` gives
+    ``10**|e|`` over ``MAX_POWER_BITS`` bits is refused before it is computed.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT_RE.search(value)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > len(str(MAX_POWER_BITS)) or int(digits or 0) * log2(10) > MAX_POWER_BITS:
+            raise ValueError(f"decimal exponent exceeds the size bound of {MAX_POWER_BITS} bits")
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 

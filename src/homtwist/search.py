@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from .axioms import _expand
-from .core import HomAlgebra, LinearMap, nullspace
+from .core import HomAlgebra, LinearMap, _nullspace
 from .scalar import Scalar, as_rational
 
 __all__ = [
@@ -99,16 +99,13 @@ def _check_budget(A: HomAlgebra, cfg: SearchConfig) -> int:
     return count
 
 
-def _fraction_tensor(A: HomAlgebra, op_name: str | None):
+def _integer_support(A: HomAlgebra, op_name: str | None):
+    """One operation's support, its coefficients times their common denominator."""
     _, op = A.resolve_op(op_name)
-    return [[[x.constant_value() for x in vec] for vec in row] for row in op.c]
-
-
-def _integer_tensor(A: HomAlgebra, op_name: str | None):
-    """One operation's structure constants times their common denominator."""
-    c = _fraction_tensor(A, op_name)
-    dc = lcm(*(x.denominator for row in c for vec in row for x in vec))
-    return [[[x.numerator * (dc // x.denominator) for x in vec] for vec in row] for row in c]
+    support = [[[(k, x.constant_value()) for k, x in vec] for vec in row] for row in op.support]
+    dc = lcm(*(x.denominator for row in support for vec in row for _, x in vec))
+    return [[[(k, x.numerator * (dc // x.denominator)) for k, x in vec] for vec in row]
+            for row in support]
 
 
 def _backtrack(grid: list[int], by_depth, limit: int) -> list[tuple[int, ...]]:
@@ -146,15 +143,6 @@ def _backtrack(grid: list[int], by_depth, limit: int) -> list[tuple[int, ...]]:
     return hits
 
 
-def _digits_to_map(A: HomAlgebra, cfg: SearchConfig, digits) -> LinearMap:
-    d = A.dim
-    rows = [
-        [cfg.entry_set[digits[p * d + i]] for i in range(d)]
-        for p in range(d)
-    ]
-    return LinearMap(rows, A.params)
-
-
 def _lex_key(m: LinearMap):
     return tuple(x.constant_value() for row in m.entries for x in row)
 
@@ -173,14 +161,15 @@ def search_rb(A: HomAlgebra, cfg: SearchConfig) -> list[LinearMap]:
     # s^2 times the identity, one equation per basis triple, a list of terms
     # coeff*x[a]*x[b]; a linear term's b is d*d, the slot of the constant 1
     s = lcm(cfg.weight.denominator, *(f.denominator for f in cfg.entry_set))
-    data = {"o": _integer_tensor(A, cfg.op_name), "theta": int(cfg.weight * s)}
+    data = {"o": _integer_support(A, cfg.op_name), "theta": int(cfg.weight * s)}
     by_depth = [[] for _ in range(d * d)]
     for poly in _expand(("RB",), 2, data, "R", d):
         by_depth[max(mono[-1] for mono in poly)].append(
             [(coeff, *mono) if len(mono) == 2 else (coeff, mono[0], d * d)
              for mono, coeff in poly.items()])
     found = _backtrack([int(f * s) for f in cfg.entry_set], by_depth, cfg.limit or 0)
-    return [_digits_to_map(A, cfg, digits) for digits in found]
+    return [LinearMap([[cfg.entry_set[x] for x in digits[p * d:(p + 1) * d]] for p in range(d)],
+                      A.params) for digits in found]
 
 
 def search_rb_oracle(A: HomAlgebra, cfg: SearchConfig) -> list[LinearMap]:
@@ -191,7 +180,8 @@ def search_rb_oracle(A: HomAlgebra, cfg: SearchConfig) -> list[LinearMap]:
     """
     _require_parameter_free(A)
     _check_budget(A, cfg)
-    c = _fraction_tensor(A, cfg.op_name)
+    _, op = A.resolve_op(cfg.op_name)
+    c = [[[x.constant_value() for x in vec] for vec in row] for row in op.c]
     theta = cfg.weight
     d = A.dim
     zero = Fraction(0)
@@ -243,15 +233,7 @@ def centroid_basis(A: HomAlgebra) -> list[LinearMap]:
     """
     _require_parameter_free(A)
     d = A.dim
-    rows = []
-    for poly in _expand(("C1", "C2"), 2, {"o": _integer_tensor(A, None)}, "a", d):
-        row = [0] * (d * d)
-        for (entry,), coeff in poly.items():
-            row[entry] = coeff
-        rows.append(row)
-    # the zero algebra gives no equations: every entry is free
-    basis = nullspace(rows or [[0] * (d * d)])
-    return [
-        LinearMap([[vec[r * d + s] for s in range(d)] for r in range(d)], A.params)
-        for vec in basis
-    ]
+    polys = _expand(("C1", "C2"), 2, {"o": _integer_support(A, None)}, "a", d)
+    rows = [{entry: coeff for (entry,), coeff in poly.items()} for poly in polys]
+    return [LinearMap([vec[r * d:(r + 1) * d] for r in range(d)], A.params)
+            for vec in _nullspace(rows, d * d)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from homtwist.axioms import check_morphism
 from homtwist.catalog import catalog_get
@@ -363,6 +364,10 @@ def centroid_grid_bruteforce(A: HomAlgebra, grid):
     key = (d, tuple(x for row in c for vec in row for x in vec), tuple(grid))
     if key in _CENTROID_CACHE:
         return _CENTROID_CACHE[key]
+    # every side is linear in c: a common positive factor keeps each equality,
+    # and integer constants keep the 4^9 candidates out of Fraction arithmetic
+    dc = lcm(*(x.denominator for row in c for vec in row for x in vec))
+    c = [[[int(x * dc) for x in vec] for vec in row] for row in c]
 
     def is_centroidal(m):
         for i in range(d):

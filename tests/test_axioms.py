@@ -635,7 +635,7 @@ class TestEquationExpander:
 
             symbolic = coordinates([parse_scalar(name, names) for name in names])
             kept = [n for n, x in enumerate(symbolic) if not x.is_zero()]
-            polys = _expand(ids, 2, {"o": c, "theta": theta}, unknown, d)
+            polys = _expand(ids, 2, {"o": A.op.support, "theta": theta}, unknown, d)
             assert polys == [
                 {tuple(e for e, power in enumerate(exps) for _ in range(power)): coeff
                  for exps, coeff in symbolic[n].terms.items()}

@@ -225,6 +225,19 @@ class TestSearchCommand:
             assert out == ""
             assert "limit" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--weight", "1e999999999"),
+        ("--entries=1e-999999999",),
+        ("--set", "a=1E999999999"),
+    ], ids=["weight", "entries", "set"])
+    def test_huge_decimal_exponent_refused(self, capsys, flags):
+        # 10**e is refused before it is computed: the run ends at once
+        code, out, err = run(capsys, "search", "rb", "--fixture", "unital_field", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "decimal exponent" in err
+
     def test_budget_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("HOMTWIST_SEARCH_BUDGET", "10")
         code, _, err = run(capsys, "search", "rb", "--fixture", "zero_algebra",
@@ -369,6 +382,39 @@ class TestDocuments:
         del doc["format"]
         with pytest.raises(ValueError, match="unsupported document format"):
             from_document(doc)
+
+    @pytest.mark.parametrize("field, value", [("format", True), ("format", 1.0), ("dim", True)])
+    def test_format_and_dim_are_json_integers(self, capsys, tmp_path, field, value):
+        # true and 1.0 compare equal to 1 in Python; a document holds the integer
+        bad = dict(to_document(catalog_get("unital_field")), **{field: value})
+        with pytest.raises(ValueError, match=field):
+            from_document(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "check", str(path), "--class", "associative")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cls", ["dendriform", "tridendriform"])
+    def test_fixed_op_classes_refuse_extra_operations(self, capsys, tmp_path, cls):
+        doc = to_document(catalog_get("zero_algebra", dim=2))
+        table = doc["ops"].pop("mul")
+        names = ("left", "right", "dot")[:2 if cls == "dendriform" else 3]
+        doc.update(signature=cls, ops={name: table for name in reversed(names)})
+        # in the canonical order whatever the document's order
+        assert from_document(doc).signature.op_names == names
+        for ops in ({**doc["ops"], "bogus": "not even an array"},
+                    {name: table for name in names[1:]}):
+            bad = dict(doc, ops=ops)
+            with pytest.raises(ValueError, match=f"{cls} signature requires operations"):
+                from_document(bad)
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad))
+            code, out, err = run(capsys, "check", str(path), "--class", f"hom-{cls}")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_schema_errors(self):
         doc = to_document(catalog_get("unital_field"))

@@ -19,6 +19,7 @@ from homtwist.core import (
     rref,
     vec_add,
     vec_scale,
+    _nullspace,
 )
 from homtwist.scalar import Scalar, parse_scalar
 
@@ -137,6 +138,28 @@ def _random_system(rng):
         ])
         rows.insert(rng.randrange(len(rows) + 1), extra)
     return rows
+
+
+def test_sparse_rows_match_dense_reference():
+    # _nullspace takes dicts: int and Fraction values, keys in any order,
+    # repeats and scaled repeats; no int division may give a float
+    rng = random.Random(20261)
+    for _ in range(300):
+        dense = _random_system(rng)
+        rows = []
+        for row in dense:
+            ints = rng.random() < 0.7
+            items = [(j, int(x) if ints and x.denominator == 1 else x)
+                     for j, x in enumerate(row) if x]
+            rng.shuffle(items)
+            rows.append(dict(items))
+        basis = _nullspace(rows, len(dense[0]))
+        assert basis == reference_nullspace(dense)
+        assert not any(isinstance(x, float) for vec in basis for x in vec)
+    # elimination leaves the int 3 as the second pivot
+    rows = [{0: 1, 1: 1, 2: 1}, {2: 2, 1: 4, 0: 1}]
+    assert _nullspace(rows, 3) == [(Fraction(-2, 3), Fraction(-1, 3), 1)]
+    assert _nullspace([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_engine_matches_dense_reference():
