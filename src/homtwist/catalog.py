@@ -6,10 +6,11 @@ its parameters) or at a rational point via a full parameter assignment.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import BilinearOp, HomAlgebra, LinearMap, Signature
+from .core import BilinearOp, HomAlgebra, LinearMap, Signature, require_dim
 from .scalar import Scalar, parse_scalar
 
 __all__ = ["FixtureDescriptor", "catalog_get", "catalog_list"]
@@ -118,9 +119,9 @@ def catalog_get(name: str, assignment: Mapping[str, object] | None = None, *,
                 dim: int | None = None) -> HomAlgebra:
     """Fetch a fixture, symbolically or fully evaluated at a rational point.
 
-    ``dim`` selects the dimension of ``zero_algebra`` and is rejected for the
-    fixed-dimension fixtures.  A non-None assignment must cover every
-    parameter of the fixture.
+    ``dim`` selects the dimension of ``zero_algebra``, at most ``MAX_DIM``, and
+    is rejected for the fixed-dimension fixtures.  A non-None assignment must
+    cover every parameter of the fixture.
     """
     if name not in _FIXTURES:
         raise ValueError(f"unknown fixture {name!r}; known: {sorted(_FIXTURES)}")
@@ -129,6 +130,7 @@ def catalog_get(name: str, assignment: Mapping[str, object] | None = None, *,
         dim = DEFAULT_ZERO_ALGEBRA_DIM if dim is None else dim
         if not isinstance(dim, int) or dim < 1:
             raise ValueError("zero_algebra dimension must be a positive integer")
+        require_dim(dim)
     elif dim is not None:
         raise ValueError(f"fixture {name!r} has a fixed dimension")
     algebra = build(dim)
@@ -140,10 +142,18 @@ def catalog_get(name: str, assignment: Mapping[str, object] | None = None, *,
     return algebra.specialize(assignment)
 
 
-def catalog_list() -> list[FixtureDescriptor]:
-    """Descriptors of every fixture, sorted by name; zero_algebra at its default dimension."""
+@functools.cache
+def _descriptors() -> tuple[FixtureDescriptor, ...]:
     descriptors = []
     for name, (build, notes) in sorted(_FIXTURES.items()):
         algebra = build(DEFAULT_ZERO_ALGEBRA_DIM)
         descriptors.append(FixtureDescriptor(name, algebra.params, algebra.signature, notes))
-    return descriptors
+    return tuple(descriptors)
+
+
+def catalog_list() -> list[FixtureDescriptor]:
+    """Descriptors of every fixture, sorted by name; zero_algebra at its default dimension.
+
+    The fixtures are built on the first call only; each call returns a new list.
+    """
+    return list(_descriptors())

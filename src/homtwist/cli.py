@@ -24,13 +24,14 @@ scalar expression string over ``params``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from . import axioms, constructions
 from .catalog import catalog_get, catalog_list
-from .core import BilinearOp, HomAlgebra, LinearMap, RotaBaxter, Signature
+from .core import BilinearOp, HomAlgebra, LinearMap, RotaBaxter, Signature, require_dim
 from .scalar import Scalar, as_rational, parse_scalar
 from .search import SearchConfig, centroid_basis, search_rb, search_rb_oracle
 
@@ -74,10 +75,26 @@ def _is_array(obj, dim: int, depth: int) -> bool:
     return depth == 1 or all(_is_array(x, dim, depth - 1) for x in obj)
 
 
-def _parse_matrix(obj, dim: int, params, what: str) -> LinearMap:
+def _entry_parser(params: tuple[str, ...]):
+    """``parse_scalar`` for the entries of one document: each distinct entry
+    string is parsed once, and the cells that hold it share the (immutable)
+    ``Scalar``."""
+    memo = {}
+
+    def parse(entry) -> Scalar:
+        text = str(entry)
+        value = memo.get(text)
+        if value is None:
+            value = memo[text] = parse_scalar(text, params)
+        return value
+
+    return parse
+
+
+def _parse_matrix(obj, dim: int, params, parse, what: str) -> LinearMap:
     if not _is_array(obj, dim, 2):
         raise ValueError(f"{what} must be a {dim}x{dim} array of scalar strings")
-    return LinearMap([[parse_scalar(str(x), params) for x in row] for row in obj], params)
+    return LinearMap([[parse(x) for x in row] for row in obj], params)
 
 
 def from_document(doc: dict) -> HomAlgebra:
@@ -90,6 +107,7 @@ def from_document(doc: dict) -> HomAlgebra:
     dim = doc.get("dim")
     if type(dim) is not int or dim < 1:
         raise ValueError("dim must be a positive integer")
+    require_dim(dim)
     params = doc.get("params", [])
     if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
         raise ValueError("params must be a list of strings")
@@ -100,24 +118,23 @@ def from_document(doc: dict) -> HomAlgebra:
         raise ValueError("ops must be a nonempty object")
     # Signature refuses a bad class or op set and puts fixed ops in their order
     signature = Signature(cls, tuple(sorted(ops_obj)))
+    parse = _entry_parser(params)
     ops = {}
     for name in signature.op_names:
         table = ops_obj[name]
         if not _is_array(table, dim, 3):
             raise ValueError(f"operation {name!r} must be a {dim}x{dim}x{dim} array")
-        ops[name] = BilinearOp(
-            [[[parse_scalar(str(x), params) for x in vec] for vec in row] for row in table],
-            params,
-        )
-    alpha = _parse_matrix(doc.get("alpha"), dim, params, "alpha")
+        ops[name] = BilinearOp([[[parse(x) for x in vec] for vec in row] for row in table],
+                               params)
+    alpha = _parse_matrix(doc.get("alpha"), dim, params, parse, "alpha")
     rb = None
     if "rb" in doc and doc["rb"] is not None:
         rb_obj = doc["rb"]
         if not isinstance(rb_obj, dict) or "weight" not in rb_obj or "R" not in rb_obj:
             raise ValueError("rb must carry 'weight' and 'R'")
         rb = RotaBaxter(
-            parse_scalar(str(rb_obj["weight"]), params),
-            _parse_matrix(rb_obj["R"], dim, params, "rb.R"),
+            parse(rb_obj["weight"]),
+            _parse_matrix(rb_obj["R"], dim, params, parse, "rb.R"),
         )
     labels = doc.get("labels") or []
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
@@ -228,7 +245,7 @@ def _load_map(algebra: HomAlgebra, args) -> LinearMap:
     obj = _read_json(args.map)
     if isinstance(obj, dict) and "entries" in obj:
         obj = obj["entries"]
-    return _parse_matrix(obj, algebra.dim, algebra.params, "map")
+    return _parse_matrix(obj, algebra.dim, algebra.params, _entry_parser(algebra.params), "map")
 
 
 # kind -> the construction, called on (algebra, args); diagram-check is apart
@@ -445,10 +462,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; ``main`` may be called any number of times in one process."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -18,6 +18,7 @@ from .core import (
     LinearMap,
     RotaBaxter,
     Signature,
+    require_dim,
 )
 from .scalar import Scalar
 
@@ -351,15 +352,16 @@ def matrix_algebra(A: HomAlgebra, n: int, *, force: bool = False) -> HomAlgebra:
     """n x n matrices with entries in A: matrix product combined with A's product.
 
     The twist (and any Rota-Baxter operator) acts entrywise.  The result has
-    dimension n^2 * dim(A) with basis E_pq tensor e_r.
+    dimension n^2 * dim(A), at most ``MAX_DIM``, with basis E_pq tensor e_r.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("matrix size must be a positive integer")
+    d = A.dim
+    N = n * n * d
+    require_dim(N)
     if not force:
         _require(axioms.check_hom_associative(A), "algebra is not Hom-associative")
-    d = A.dim
     op = A.op
-    N = n * n * d
 
     def flat(p: int, q: int, r: int) -> int:
         return (p * n + q) * d + r

@@ -29,12 +29,24 @@ __all__ = [
     "Signature",
     "RotaBaxter",
     "HomAlgebra",
+    "MAX_DIM",
     "nullspace",
     "vec_add",
     "vec_sub",
     "vec_scale",
     "basis_vector",
 ]
+
+# Largest algebra dimension taken from outside: a document's ``dim``, the
+# ``zero_algebra`` fixture's and a matrix algebra's n^2 * dim.  Tensors are
+# dense (d^3 cells) and a check scans up to d^4 basis tuples.
+MAX_DIM = 64
+
+
+def require_dim(dim: int):
+    """Refuse a dimension over ``MAX_DIM`` before anything of that size is built."""
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension budget exceeded: dimension {dim} over a budget of {MAX_DIM}")
 
 
 def _coerce_scalar(value, params: tuple[str, ...]) -> Scalar:

@@ -106,3 +106,9 @@ def test_assignment_accepts_fractions():
     A = catalog_get("ex_assoc3", {"a": Fraction(1, 2), "b": Fraction(-3, 4)})
     assert A.is_parameter_free()
     assert check_hom_associative(A).passed
+
+
+def test_list_is_a_new_list_each_call():
+    listed = catalog_list()
+    catalog_list().clear()
+    assert catalog_list() == listed

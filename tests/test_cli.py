@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,8 @@ from homtwist import axioms
 from homtwist.catalog import catalog_get
 from homtwist.cli import from_document, load_algebra, main, save_algebra, to_document
 from homtwist.constructions import derived_algebra, rb_dendriform
-from homtwist.core import LinearMap
+from homtwist.core import MAX_DIM, LinearMap, Signature
+from homtwist.scalar import parse_scalar
 
 from _factories import attach_rb, one_op_algebra
 
@@ -497,6 +500,164 @@ class TestDocuments:
         doc = to_document(A)
         assert doc["labels"] == ["x1", "x2", "x3"]
         assert from_document(doc).basis_labels == ("x1", "x2", "x3")
+
+
+def _fuzz_documents():
+    """(document, check class) pairs: every signature shape the fuzz mutates."""
+    unital = catalog_get("unital_field")
+    nilpotent = one_op_algebra(2, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
+    return [
+        (to_document(catalog_get("ex_assoc3")), "hom-associative"),
+        (to_document(catalog_get("jackson_sl2")), "hom-lie"),
+        (to_document(catalog_get("zero_algebra", dim=2)), "multiplicative"),
+        (to_document(attach_rb(unital, 1, LinearMap([[-1]]))), "rota-baxter"),
+        (to_document(rb_dendriform(attach_rb(nilpotent, 0, LinearMap([[0, 0], [1, 0]])),
+                                   False)), "hom-dendriform"),
+    ]
+
+
+_FUZZ_DOCUMENTS = _fuzz_documents()
+
+
+def _entry_slots(doc):
+    """(container, key) of every entry, in the order ``from_document`` reads
+    them: the operations in signature order, alpha, the weight, then R, each
+    array row-major."""
+    names = Signature(doc["signature"], tuple(sorted(doc["ops"]))).op_names
+    slots = [(vec, k) for name in names for row in doc["ops"][name] for vec in row
+             for k in range(len(vec))]
+    slots += [(row, j) for row in doc["alpha"] for j in range(len(row))]
+    if "rb" in doc:
+        slots.append((doc["rb"], "weight"))
+        slots += [(row, j) for row in doc["rb"]["R"] for j in range(len(row))]
+    return slots
+
+
+def _arrays(doc):
+    """Every list of the document's arrays, outermost first."""
+    tables = [*doc["ops"].values(), doc["alpha"], *([doc["rb"]["R"]] if "rb" in doc else [])]
+    found = []
+    while tables:
+        found += tables
+        tables = [x for t in tables for x in t if isinstance(x, list)]
+    return found
+
+
+# entries that fail to parse, a few of them repeated on purpose by the strategy
+_BAD_ENTRIES = ["", "x y", "(", "a^", "1/0", "zz", "1.5", "2**3", "-"]
+_ENTRY_VALUES = st.one_of(
+    st.sampled_from(_BAD_ENTRIES),
+    st.sampled_from(["0", "1", "-1/2", "a", "q^2"]),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.none(),
+    st.just(["0"]),
+)
+
+
+class TestDocumentFuzz:
+    """Mutated catalog documents: exit codes stay 0-2, no traceback, and a bad
+    entry is reported with ``parse_scalar``'s message for the first bad cell."""
+
+    @given(which=st.integers(0, len(_FUZZ_DOCUMENTS) - 1),
+           cells=st.lists(st.tuples(st.integers(0, 10**6), _ENTRY_VALUES), max_size=4),
+           shape=st.one_of(st.none(),
+                           st.tuples(st.integers(0, 10**6),
+                                     st.sampled_from(["pop", "append", "scalar"])),
+                           st.sampled_from([0, -1, True, 1.0, "3", 10**9, "one more"]).map(
+                               lambda d: ("dim", d))))
+    @settings(max_examples=150, deadline=None)
+    def test_document_boundary(self, which, cells, shape):
+        doc, klass = _FUZZ_DOCUMENTS[which]
+        doc = json.loads(json.dumps(doc))
+        slots, arrays = _entry_slots(doc), _arrays(doc)
+        for index, value in cells:
+            container, key = slots[index % len(slots)]
+            container[key] = value
+        expected = None  # parse_scalar's message on the first bad entry
+        for container, key in slots:
+            try:
+                parse_scalar(str(container[key]), doc["params"])
+            except ValueError as exc:
+                expected = str(exc)
+                break
+        if shape is not None and shape[0] == "dim":
+            doc["dim"] = doc["dim"] + 1 if shape[1] == "one more" else shape[1]
+        elif shape is not None:
+            array = arrays[shape[0] % len(arrays)]
+            if shape[1] == "pop":
+                array.pop()
+            elif shape[1] == "scalar" and isinstance(array[0], list):
+                array[0] = "0"
+            else:
+                array.append(array[-1])
+        try:
+            from_document(doc)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        if shape is None:
+            assert message == expected
+        else:
+            assert message is not None
+
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["check", str(path), "--class", klass])
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in out + err
+        if message is None:
+            assert code in (0, 1) and err == ""
+        else:
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestDimensionBudget:
+    """Dimensions over ``MAX_DIM`` are refused before anything is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--fixture", "zero_algebra", "--dim", "1000000000", "--class", "associative"),
+        ("check", "--fixture", "zero_algebra", "--dim", str(MAX_DIM + 1),
+         "--class", "associative"),
+        ("search", "centroid", "--fixture", "zero_algebra", "--dim", "1000000000"),
+        ("construct", "matrix-algebra", "--fixture", "unital_field", "--size", "1000000000"),
+        # the result dimension n^2 * 1 just over the budget
+        ("construct", "matrix-algebra", "--fixture", "unital_field",
+         "--size", str(math.isqrt(MAX_DIM) + 1)),
+        ("check", "{path}", "--class", "associative"),
+    ])
+    def test_refused_with_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(to_document(catalog_get("unital_field")), dim=10**9)))
+        code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: dimension budget exceeded: ") and err.count("\n") == 1
+
+
+class TestRepeatedCalls:
+    """``main`` builds its parser once per process; no call leaks into the next."""
+
+    def test_set_does_not_carry_over(self, capsys):
+        assert run(capsys, "eval", "a", "--params", "a", "--set", "a=2") == (0, "2\n", "")
+        assert run(capsys, "eval", "a", "--params", "a") == (0, "a\n", "")
+
+    def test_usage_error_then_valid_call(self, capsys):
+        code, out, err = run(capsys, "check", "--fixture", "ex_assoc3", "--class", "bogus")
+        assert (code, out) == (2, "") and "invalid choice: 'bogus'" in err
+        code, out, err = run(capsys, "check", "--fixture", "ex_assoc3",
+                             "--class", "hom-associative")
+        assert (code, out, err) == (0, "check: hom-associative\nresult: PASS\n", "")
+
+    @pytest.mark.parametrize("command", ["", "check", "construct", "search", "catalog", "eval"])
+    def test_help_is_the_same_every_time(self, capsys, command):
+        argv = [*filter(None, [command]), "--help"]
+        first = run(capsys, *argv)
+        assert first[0] == 0 and first[1].startswith("usage: homtwist") and first[2] == ""
+        assert run(capsys, *argv) == first
 
 
 class TestSearchOutput:
