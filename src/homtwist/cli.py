@@ -42,8 +42,19 @@ DOCUMENT_FORMAT = 1
 # -- document serialization ----------------------------------------------------
 
 
-def _strings(m: LinearMap) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.entries]
+def _strings(maps: list[LinearMap]) -> list[list[list[str]]]:
+    """Each map's entries as strings; a cell that several entries share is
+    printed once.  The memo is keyed by ``id``, which stays unique while
+    ``maps`` keeps every cell alive."""
+    memo = {}
+
+    def text(x: Scalar) -> str:
+        s = memo.get(id(x))
+        if s is None:
+            s = memo[id(x)] = str(x)
+        return s
+
+    return [[[text(x) for x in row] for row in m.entries] for m in maps]
 
 
 def to_document(A: HomAlgebra) -> dict:
@@ -60,11 +71,11 @@ def to_document(A: HomAlgebra) -> dict:
             ]
             for name in A.signature.op_names
         },
-        "alpha": _strings(A.alpha),
+        "alpha": _strings([A.alpha])[0],
         "labels": list(A.basis_labels),
     }
     if A.rb is not None:
-        doc["rb"] = {"weight": str(A.rb.theta), "R": _strings(A.rb.R)}
+        doc["rb"] = {"weight": str(A.rb.theta), "R": _strings([A.rb.R])[0]}
     return doc
 
 
@@ -330,13 +341,14 @@ def _cmd_search(args) -> int:
         passes = lambda m: axioms.check_rota_baxter(algebra, args.op, m, weight).passed
         header, item, verified, failed = ("solutions", "solution",
                                           "solutions pass the Rota-Baxter check", "a reported solution")
+    listing = _strings(found)
     if args.json:
-        print(json.dumps([_strings(m) for m in found]))
+        print(json.dumps(listing))
     else:
         print(f"{header}: {len(found)}")
-        for idx, m in enumerate(found, start=1):
+        for idx, rows in enumerate(listing, start=1):
             print(f"{item} {idx}:")
-            for row in _strings(m):
+            for row in rows:
                 print("  [" + ", ".join(row) + "]")
     if args.verify:
         if not all(passes(m) for m in found):

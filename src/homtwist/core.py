@@ -497,6 +497,9 @@ class HomAlgebra:
         return name, self.ops[name]
 
     def is_parameter_free(self) -> bool:
+        if not self.params:
+            # every tensor, map and theta shares self.params (__post_init__)
+            return True
         rb = () if self.rb is None else (self.rb.R, self.rb.theta)
         return all(x.is_constant() for x in (*self.ops.values(), self.alpha, *rb))
 

@@ -88,15 +88,14 @@ def _require_parameter_free(A: HomAlgebra):
         raise ValueError("parametric algebra; evaluate its parameters at rationals first")
 
 
-def _check_budget(A: HomAlgebra, cfg: SearchConfig) -> int:
-    count = len(cfg.entry_set) ** (A.dim * A.dim)
+def _check_budget(count: int, what: str):
+    """Refuse a search whose size ``count`` (of ``what``) exceeds the budget."""
     budget = search_budget()
     if count > budget:
         raise ValueError(
-            f"search budget exceeded: {count} candidates over a budget of {budget} "
+            f"search budget exceeded: {count} {what} over a budget of {budget} "
             f"(override with {BUDGET_ENV_VAR})"
         )
-    return count
 
 
 def _integer_support(A: HomAlgebra, op_name: str | None):
@@ -151,11 +150,12 @@ def search_rb(A: HomAlgebra, cfg: SearchConfig) -> list[LinearMap]:
     """All matrices over the entry grid satisfying the Rota-Baxter identity.
 
     Deterministic: results come in lexicographic order of flattened entries.
-    Raises when the candidate count exceeds the budget or the algebra is
-    parametric.
+    The hits share one (immutable) ``Scalar`` per grid value, over
+    ``A.params``.  Raises when the candidate count exceeds the budget or the
+    algebra is parametric.
     """
     _require_parameter_free(A)
-    _check_budget(A, cfg)
+    _check_budget(len(cfg.entry_set) ** (A.dim * A.dim), "candidates")
     d = A.dim
     # x = s*R is an integer on the grid and so is s*theta: the RB row in x is
     # s^2 times the identity, one equation per basis triple, a list of terms
@@ -168,8 +168,9 @@ def search_rb(A: HomAlgebra, cfg: SearchConfig) -> list[LinearMap]:
             [(coeff, *mono) if len(mono) == 2 else (coeff, mono[0], d * d)
              for mono, coeff in poly.items()])
     found = _backtrack([int(f * s) for f in cfg.entry_set], by_depth, cfg.limit or 0)
-    return [LinearMap([[cfg.entry_set[x] for x in digits[p * d:(p + 1) * d]] for p in range(d)],
-                      A.params) for digits in found]
+    cells = [Scalar.constant(f, A.params) for f in cfg.entry_set]
+    return [LinearMap([[cells[x] for x in digits[p * d:(p + 1) * d]] for p in range(d)], A.params)
+            for digits in found]
 
 
 def search_rb_oracle(A: HomAlgebra, cfg: SearchConfig) -> list[LinearMap]:
@@ -179,7 +180,7 @@ def search_rb_oracle(A: HomAlgebra, cfg: SearchConfig) -> list[LinearMap]:
     nested lists) so that agreement between the two is meaningful evidence.
     """
     _require_parameter_free(A)
-    _check_budget(A, cfg)
+    _check_budget(len(cfg.entry_set) ** (A.dim * A.dim), "candidates")
     _, op = A.resolve_op(cfg.op_name)
     c = [[[x.constant_value() for x in vec] for vec in row] for row in op.c]
     theta = cfg.weight
@@ -233,6 +234,8 @@ def centroid_basis(A: HomAlgebra) -> list[LinearMap]:
     """
     _require_parameter_free(A)
     d = A.dim
+    # d^2 unknowns in 2*d^3 equations (C1 and C2 per basis pair and coordinate)
+    _check_budget(d * d * 2 * d**3, f"system cells ({d * d} unknowns x {2 * d**3} equations)")
     polys = _expand(("C1", "C2"), 2, {"o": _integer_support(A, None)}, "a", d)
     rows = [{entry: coeff for (entry,), coeff in poly.items()} for poly in polys]
     return [LinearMap([vec[r * d:(r + 1) * d] for r in range(d)], A.params)

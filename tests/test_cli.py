@@ -1,19 +1,22 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homtwist
-from homtwist import axioms
+from homtwist import axioms, cli
 from homtwist.catalog import catalog_get
 from homtwist.cli import from_document, load_algebra, main, save_algebra, to_document
 from homtwist.constructions import derived_algebra, rb_dendriform
@@ -247,6 +250,18 @@ class TestSearchCommand:
                            "--dim", "2")
         assert code == 2
         assert "budget" in err
+
+    @pytest.mark.parametrize("dim, unknowns, equations", [(35, 1225, 85750),
+                                                          (64, 4096, 524288)])
+    def test_centroid_budget_exit_code(self, capsys, monkeypatch, dim, unknowns, equations):
+        # 2 * dim^5 system cells: dims 35 and up are over the default budget
+        monkeypatch.delenv("HOMTWIST_SEARCH_BUDGET", raising=False)
+        code, out, err = run(capsys, "search", "centroid", "--fixture", "zero_algebra",
+                             "--dim", str(dim))
+        assert (code, out) == (2, "")
+        assert err == (f"error: search budget exceeded: {unknowns * equations} system cells "
+                       f"({unknowns} unknowns x {equations} equations) over a budget of "
+                       f"100000000 (override with HOMTWIST_SEARCH_BUDGET)\n")
 
 
 class TestCatalogCommand:
@@ -616,6 +631,108 @@ class TestDocumentFuzz:
             assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+_RATIONALS = ["0", "1", "-1", "1/2", "-3/2", "2"]
+_BAD_RATIONALS = ["1/0", "x", "", "1e999999"]
+_JUNK = ["--bogus", "", "-", "--", "=", "x", "--dim", "--set", "a=", "--limit", "-1",
+         "1/0", "{}", "--json", "--help", "rb"]
+# the parameters of each fixture, and of each document in ``fuzz_files``
+_FUZZ_PARAMS = {"ex_assoc3": "ab", "ex_homlie3": "abcd", "jackson_sl2": "q", 0: "ab", 1: "q"}
+
+
+@st.composite
+def _argv(draw):
+    """argv for one subcommand, mostly well formed: each option is drawn in
+    range and now and then out of range, the input is a fixture or a document
+    file (an index into ``fuzz_files``), and junk tokens are put in at random."""
+    pick = lambda values: draw(st.sampled_from(values))
+    rare = lambda: draw(st.integers(0, 7)) == 3  # Hypothesis favours the ends of a range
+    maybe = lambda *tokens: list(tokens) if draw(st.booleans()) else []
+    value = lambda good, bad: pick(bad) if rare() else pick(good)
+    rational = lambda: value(_RATIONALS, _BAD_RATIONALS)
+    command = pick(["check", "construct", "search", "catalog", "eval"])
+    source = []
+    if command in ("check", "construct", "search"):
+        if draw(st.booleans()):
+            name = value(["ex_assoc3", "ex_homlie3", "jackson_sl2", "unital_field",
+                          "zero_algebra"], ["bogus"])
+            source = ["--fixture", name]
+            if name == "zero_algebra" or rare():
+                source += maybe("--dim", value(["1", "2", "3"], ["0", "-1", "65", "x"]))
+        else:
+            name = draw(st.integers(3, 7)) if rare() else draw(st.integers(0, 2))
+            source = [("FILE", name)]
+        names = _FUZZ_PARAMS.get(name, "")
+        if names and (command != "check" or draw(st.booleans())):
+            names = names[:-1] if rare() else names  # an incomplete assignment
+        else:
+            names = "z" if rare() else ""
+        for param in names:
+            source += ["--set", f"{param}={rational()}"]
+    if command == "check":
+        argv = ["check", *source,
+                *(["--class", value([*axioms.CLASS_CHECK_NAMES], ["bogus"])] if not rare() else []),
+                *maybe("--json"), *maybe("--witness-cap", value(["1", "3"], ["0", "-2", "x"]))]
+    elif command == "construct":
+        argv = ["construct", value([*cli._CONSTRUCTIONS, "diagram-check"], ["bogus"]), *source,
+                *maybe("--map", ("FILE", draw(st.integers(0, 7)))),
+                *maybe("--n", value(["0", "1", "2"], ["17", "x"])),
+                *maybe("--type", value(["1", "2"], ["3"])),
+                *maybe("--variant", value(["1", "2"], ["0"])),
+                *maybe("--side", value(["left", "right"], ["up"])),
+                *maybe("--weight-case", value(["zero", "minus-one"], ["one"])),
+                *maybe("--weighted"), *maybe("--size", value(["1", "2"], ["0", "9", "x"])),
+                *maybe("--force")]
+    elif command == "search":
+        grid = ",".join(rational() for _ in range(draw(st.integers(1, 4))))
+        argv = ["search", value(["rb", "centroid"], ["bogus"]), *source,
+                *maybe(f"--weight={rational()}"), f"--entries={grid}",
+                *maybe("--op", value(["mul", "bracket"], ["bogus"])),
+                *maybe("--limit", value(["1", "3"], ["0", "-1", "x"])),
+                *maybe("--oracle"), *maybe("--verify"), *maybe("--json")]
+    elif command == "catalog":
+        argv = ["catalog", *maybe("--json")]
+    else:
+        expr = "".join(draw(st.lists(st.sampled_from(TestEval._TOKENS), max_size=8)))
+        argv = ["eval", *maybe("--params", value(["a", "a,b"], [",", "1"])),
+                *maybe("--set", f"a={rational()}"), "--", expr]
+    for _ in range(draw(st.integers(1, 2)) if rare() else 0):
+        argv.insert(draw(st.integers(0, len(argv))), pick(_JUNK))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Paths a fuzzed argv may name: three documents, maps of dims 1 and 2, a
+    file that is not JSON, a directory and a missing file."""
+    root = tmp_path_factory.mktemp("argv")
+    files = {f"doc{n}.json": json.dumps(doc) for n, (doc, _) in enumerate(_FUZZ_DOCUMENTS[:3])}
+    for dim in (1, 2):
+        files[f"map{dim}.json"] = json.dumps([[str(int(i == j)) for j in range(dim)]
+                                              for i in range(dim)])
+    files["junk.json"] = "not json"
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return [*(str(root / name) for name in files), str(root), str(root / "missing.json")]
+
+
+class TestArgvFuzz:
+    """``main`` on drawn argv of every subcommand: exit code 0, 1 or 2, no
+    exception and no traceback."""
+
+    @given(argv=_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_contract(self, fuzz_files, argv):
+        argv = [fuzz_files[x[1]] if isinstance(x, tuple) else x for x in argv]
+        out, err = io.StringIO(), io.StringIO()
+        # keeps every example small: it refuses each dim-3 grid search (2^9
+        # candidates or more) and admits the dim-3 centroid (486 system cells)
+        with mock.patch.dict(os.environ, {"HOMTWIST_SEARCH_BUDGET": "500"}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
 class TestDimensionBudget:
     """Dimensions over ``MAX_DIM`` are refused before anything is built."""
 
@@ -698,6 +815,26 @@ class TestSearchOutput:
             '[["0", "0"], ["1", "0"]], [["0", "0"], ["0", "1"]]]\n'
             "verified: all 4 elements pass the centroid check\n"
         ), "")
+
+    # every candidate of the zero algebra is a hit, and hits share their cells
+    SHARED = ("search", "rb", "--fixture", "zero_algebra", "--dim", "2",
+              "--entries=-5/2,0,1,5/2", "--weight", "1/2")
+
+    @pytest.mark.parametrize("limit", [None, 3])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_shared_cells(self, capsys, as_json, limit):
+        grid = [str(Fraction(x)) for x in ("-5/2", "0", "1", "5/2")]
+        hits = [[[a, b], [c, d]] for a, b, c, d in itertools.product(grid, repeat=4)][:limit]
+        if as_json:
+            expected = json.dumps(hits) + "\n"
+        else:
+            expected = f"solutions: {len(hits)}\n" + "".join(
+                f"solution {n}:\n" + "".join(f"  [{', '.join(row)}]\n" for row in m)
+                for n, m in enumerate(hits, start=1))
+        argv = [*self.SHARED, *(["--json"] if as_json else []),
+                *(["--limit", str(limit)] if limit else [])]
+        assert run(capsys, *argv) == (0, expected, "")
+        assert run(capsys, *argv, "--oracle") == (0, expected, "")
 
     @pytest.mark.parametrize("argv, checker, message", [
         (RB, "check_rota_baxter", "verification FAILED for a reported solution\n"),

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from homtwist import search
 from homtwist.axioms import check_centroid, check_rota_baxter
 from homtwist.catalog import catalog_get
 from homtwist.constructions import matrix_algebra
-from homtwist.core import LinearMap
+from homtwist.core import BilinearOp, HomAlgebra, LinearMap, Signature
 from homtwist.scalar import Scalar
 from homtwist.search import (
     BUDGET_ENV_VAR,
@@ -169,6 +170,20 @@ class TestOracleAgreement:
             multi_hit += len(found) > 1
         assert multi_hit >= 10
 
+    def test_shared_cells_keep_declared_params(self):
+        # a parameter-free algebra over Q that still declares parameters: the
+        # hits' shared cells carry them, and equal the oracle's fresh ones
+        params = ("p", "q")
+        c = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+        A = HomAlgebra(2, params, Signature.plain(("mul",)), {"mul": BilinearOp(c, params)},
+                       LinearMap.identity(2, params))
+        assert A.is_parameter_free()
+        cfg = SearchConfig([Fraction(-1, 2), 0, Fraction(1, 3), 1], weight=Fraction(1, 2))
+        found = search_rb(A, cfg)
+        assert len(found) > 1
+        assert found == search_rb_oracle(A, cfg)
+        assert {x.params for m in found for row in m.entries for x in row} == {params}
+
     def test_python_kernel_handles_big_scalars(self):
         # grid entries far beyond machine-word size stay exact in the one engine
         U = catalog_get("unital_field")
@@ -272,3 +287,11 @@ class TestCentroidBasis:
     def test_parametric_rejected(self):
         with pytest.raises(ValueError, match="parametric"):
             centroid_basis(catalog_get("ex_assoc3"))
+
+    def test_budget_refused_before_expansion(self, monkeypatch):
+        # dim 3: 9 unknowns x 54 equations = 486 over a budget of 485
+        monkeypatch.setenv(BUDGET_ENV_VAR, "485")
+        monkeypatch.setattr(search, "_expand", lambda *args: pytest.fail("expanded"))
+        with pytest.raises(ValueError, match=r"search budget exceeded: 486 system cells "
+                                             r"\(9 unknowns x 54 equations\) over a budget of 485"):
+            centroid_basis(catalog_get("zero_algebra", dim=3))
