@@ -115,6 +115,20 @@ _FIXTURES: dict[str, tuple] = {
 DEFAULT_ZERO_ALGEBRA_DIM = 3
 
 
+def _selected_dim(name: str, dim: int | None) -> int | None:
+    """Refuse what catalog_get refuses before a build; the zero algebra's dimension."""
+    if name not in _FIXTURES:
+        raise ValueError(f"unknown fixture {name!r}; known: {sorted(_FIXTURES)}")
+    if name == "zero_algebra":
+        dim = DEFAULT_ZERO_ALGEBRA_DIM if dim is None else dim
+        if not isinstance(dim, int) or dim < 1:
+            raise ValueError("zero_algebra dimension must be a positive integer")
+        require_dim(dim)
+    elif dim is not None:
+        raise ValueError(f"fixture {name!r} has a fixed dimension")
+    return dim
+
+
 def catalog_get(name: str, assignment: Mapping[str, object] | None = None, *,
                 dim: int | None = None) -> HomAlgebra:
     """Fetch a fixture, symbolically or fully evaluated at a rational point.
@@ -123,17 +137,8 @@ def catalog_get(name: str, assignment: Mapping[str, object] | None = None, *,
     is rejected for the fixed-dimension fixtures.  A non-None assignment must
     cover every parameter of the fixture.
     """
-    if name not in _FIXTURES:
-        raise ValueError(f"unknown fixture {name!r}; known: {sorted(_FIXTURES)}")
-    build, _ = _FIXTURES[name]
-    if name == "zero_algebra":
-        dim = DEFAULT_ZERO_ALGEBRA_DIM if dim is None else dim
-        if not isinstance(dim, int) or dim < 1:
-            raise ValueError("zero_algebra dimension must be a positive integer")
-        require_dim(dim)
-    elif dim is not None:
-        raise ValueError(f"fixture {name!r} has a fixed dimension")
-    algebra = build(dim)
+    dim = _selected_dim(name, dim)
+    algebra = _FIXTURES[name][0](dim)
     if assignment is None:
         return algebra
     missing = [p for p in algebra.params if p not in assignment]

@@ -30,10 +30,10 @@ import sys
 from fractions import Fraction
 
 from . import axioms, constructions
-from .catalog import catalog_get, catalog_list
+from .catalog import _selected_dim, catalog_get, catalog_list
 from .core import BilinearOp, HomAlgebra, LinearMap, RotaBaxter, Signature, require_dim
 from .scalar import Scalar, as_rational, parse_scalar
-from .search import SearchConfig, centroid_basis, search_rb, search_rb_oracle
+from .search import SearchConfig, _check_budget, centroid_basis, search_rb, search_rb_oracle
 
 __all__ = ["to_document", "from_document", "save_algebra", "load_algebra", "main", "console_main"]
 
@@ -321,21 +321,35 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _search_config(args) -> SearchConfig | None:
+    """The Rota-Baxter search's grid, weight, operation and limit; None for the
+    centroid."""
+    if args.what == "centroid":
+        return None
+    entries = [_parse_rational(piece, "--entries") for piece in args.entries.split(",") if piece]
+    return SearchConfig(entries, weight=_parse_rational(args.weight, "--weight"),
+                        op_name=args.op, limit=args.limit)
+
+
 def _cmd_search(args) -> int:
+    # both budgets need only the dimension: the zero algebra's --dim is refused
+    # before the algebra is built (with --set, that fails after the build, first)
+    if args.fixture and not args.file and not args.set:
+        dim = _selected_dim(args.fixture, args.dim)
+        if dim is not None:
+            _check_budget(dim, _search_config(args))
     algebra = _load_input(args)
     if not algebra.is_parameter_free():
         raise UsageError(
             "search needs a parameter-free algebra; evaluate parameters with --set"
         )
-    if args.what == "centroid":
+    cfg = _search_config(args)
+    if cfg is None:
         found = centroid_basis(algebra)
         passes = lambda m: axioms.check_centroid(m, algebra).passed
         header, item, verified, failed = ("centroid dimension", "basis element",
                                           "elements pass the centroid check", "a basis element")
     else:
-        entries = [_parse_rational(piece, "--entries") for piece in args.entries.split(",") if piece]
-        cfg = SearchConfig(entries, weight=_parse_rational(args.weight, "--weight"),
-                           op_name=args.op, limit=args.limit)
         found = (search_rb_oracle if args.oracle else search_rb)(algebra, cfg)
         weight = Scalar.constant(cfg.weight, algebra.params)
         passes = lambda m: axioms.check_rota_baxter(algebra, args.op, m, weight).passed

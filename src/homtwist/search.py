@@ -5,14 +5,16 @@ satisfies the Rota-Baxter identity.  Its equations are the ``RB`` row of
 ``axioms._IDENTITIES``, expanded by ``axioms._expand``, the checks' engine
 with R unknown: after clearing denominators, the identity on each basis
 triple (i, j, k) is one quadratic equation with integer coefficients in the
-d*d entries of R.  The entries are assigned one at a time in row-major order,
-each over the grid in ascending order, and an equation is checked as soon as
-its last entry is set, so a partial matrix that already breaks one is
-abandoned with its whole subtree (depth-first backtracking).  Hits therefore
-come out in lexicographic order of the flattened entries.  ``search_rb_oracle``
-is an independent naive implementation used to cross-validate the search; it
-shares nothing with it beyond rational arithmetic.  ``centroid_basis`` solves
-the linear conditions of rows ``C1`` and ``C2`` exactly.
+d*d entries of R.  The entries are assigned one at a time in row-major order
+(depth-first backtracking), and each equation is solved for its deepest entry
+as soon as the entries before it are set (forward checking): only the grid
+values that solve every equation at that entry are tried, in ascending order,
+and a partial matrix that leaves none is abandoned with its whole subtree.
+Hits therefore come out in lexicographic order of the flattened entries.
+``search_rb_oracle`` is an independent naive implementation used to
+cross-validate the search; it shares nothing with it beyond rational
+arithmetic.  ``centroid_basis`` solves the linear conditions of rows ``C1``
+and ``C2`` exactly.
 """
 
 from __future__ import annotations
@@ -88,8 +90,16 @@ def _require_parameter_free(A: HomAlgebra):
         raise ValueError("parametric algebra; evaluate its parameters at rationals first")
 
 
-def _check_budget(count: int, what: str):
-    """Refuse a search whose size ``count`` (of ``what``) exceeds the budget."""
+def _check_budget(d: int, cfg: SearchConfig | None = None):
+    """Refuse a search on a d-dimensional algebra that is over the budget: the
+    Rota-Baxter search over ``cfg``'s grid, or the centroid when ``cfg`` is
+    None.  Only the dimension counts, so this can run before the algebra is
+    built."""
+    if cfg is not None:
+        count, what = len(cfg.entry_set) ** (d * d), "candidates"
+    else:
+        # d^2 unknowns in 2*d^3 equations (C1 and C2 per basis pair and coordinate)
+        count, what = d * d * 2 * d**3, f"system cells ({d * d} unknowns x {2 * d**3} equations)"
     budget = search_budget()
     if count > budget:
         raise ValueError(
@@ -110,35 +120,74 @@ def _integer_support(A: HomAlgebra, op_name: str | None):
 def _backtrack(grid: list[int], by_depth, limit: int) -> list[tuple[int, ...]]:
     """Depth-first search over the grid, entry by entry in index order.
 
-    Values are tried in grid order, so with an ascending grid the hits (tuples
-    of grid indices) come out in lexicographic order.  A positive limit stops
-    the search after that many hits; 0 finds them all.
+    ``by_depth[v]`` lists the equations whose deepest entry is v, each a list
+    of terms (coeff, a, b) meaning coeff*x[a]*x[b]; slot ``len(by_depth)`` is
+    the constant 1.  Each equation is split once by its degree in v, and at
+    each node it is evaluated once, as a + b*v + c*v^2 with a, b read off the
+    entries already set, and solved for v: if c = 0 and b != 0, only -a/b,
+    when the quotient is exact and on the grid; if b = c = 0, the whole grid
+    when a = 0 and nothing otherwise; if c != 0, the grid values that solve
+    it.  The values every equation at v allows are tried in grid order, so
+    with an ascending grid the hits (tuples of grid indices) come out in
+    lexicographic order.  A positive limit stops the search after that many
+    hits; 0 finds them all.
     """
     n = len(by_depth)
+    # each equation as (terms without v, terms linear in v with v left out, c)
+    split = []
+    for v, eqs in enumerate(by_depth):
+        rows = []
+        for eq in eqs:
+            free, lin, sq = [], [], 0
+            for coeff, a, b in eq:
+                if a == b == v:
+                    sq += coeff
+                elif v in (a, b):
+                    lin.append((coeff, a + b - v))
+                else:
+                    free.append((coeff, a, b))
+            rows.append((free, lin, sq))
+        split.append(rows)
+    index = {g: k for k, g in enumerate(grid)}
+    everything = range(len(grid))
     x = [0] * n + [1]
-    digits = [-1] * n
-    last = len(grid) - 1
+    digits = [0] * n
     hits: list[tuple[int, ...]] = []
+
+    def candidates(v):
+        # the grid indices that every equation at depth v allows, given x[:v]
+        found = everything
+        for free, lin, sq in split[v]:
+            a = sum([coeff * x[i] * x[j] for coeff, i, j in free])
+            b = sum([coeff * x[i] for coeff, i in lin])
+            if sq:
+                found = [k for k in found if a + (b + sq * grid[k]) * grid[k] == 0]
+            elif b:
+                q, r = divmod(-a, b)
+                k = None if r else index.get(q)
+                found = [k] if k is not None and k in found else []
+            elif a:
+                return ()
+            if not found:
+                return ()
+        return found
+
+    todo = [iter(candidates(0))] + [None] * (n - 1)
     pos = 0
     while pos >= 0:
-        digit = digits[pos]
-        if digit == last:
-            digits[pos] = -1
+        k = next(todo[pos], None)
+        if k is None:
             pos -= 1
             continue
-        digit += 1
-        digits[pos] = digit
-        x[pos] = grid[digit]
-        for eq in by_depth[pos]:
-            if sum(coeff * x[a] * x[b] for coeff, a, b in eq):
-                break
+        digits[pos] = k
+        x[pos] = grid[k]
+        if pos + 1 < n:
+            pos += 1
+            todo[pos] = iter(candidates(pos))
         else:
-            if pos + 1 < n:
-                pos += 1
-            else:
-                hits.append(tuple(digits))
-                if len(hits) == limit:
-                    break
+            hits.append(tuple(digits))
+            if len(hits) == limit:
+                break
     return hits
 
 
@@ -155,7 +204,7 @@ def search_rb(A: HomAlgebra, cfg: SearchConfig) -> list[LinearMap]:
     algebra is parametric.
     """
     _require_parameter_free(A)
-    _check_budget(len(cfg.entry_set) ** (A.dim * A.dim), "candidates")
+    _check_budget(A.dim, cfg)
     d = A.dim
     # x = s*R is an integer on the grid and so is s*theta: the RB row in x is
     # s^2 times the identity, one equation per basis triple, a list of terms
@@ -180,7 +229,7 @@ def search_rb_oracle(A: HomAlgebra, cfg: SearchConfig) -> list[LinearMap]:
     nested lists) so that agreement between the two is meaningful evidence.
     """
     _require_parameter_free(A)
-    _check_budget(len(cfg.entry_set) ** (A.dim * A.dim), "candidates")
+    _check_budget(A.dim, cfg)
     _, op = A.resolve_op(cfg.op_name)
     c = [[[x.constant_value() for x in vec] for vec in row] for row in op.c]
     theta = cfg.weight
@@ -233,9 +282,8 @@ def centroid_basis(A: HomAlgebra) -> list[LinearMap]:
     row-major).
     """
     _require_parameter_free(A)
+    _check_budget(A.dim)
     d = A.dim
-    # d^2 unknowns in 2*d^3 equations (C1 and C2 per basis pair and coordinate)
-    _check_budget(d * d * 2 * d**3, f"system cells ({d * d} unknowns x {2 * d**3} equations)")
     polys = _expand(("C1", "C2"), 2, {"o": _integer_support(A, None)}, "a", d)
     rows = [{entry: coeff for (entry,), coeff in poly.items()} for poly in polys]
     return [LinearMap([vec[r * d:(r + 1) * d] for r in range(d)], A.params)

@@ -263,6 +263,34 @@ class TestSearchCommand:
                        f"({unknowns} unknowns x {equations} equations) over a budget of "
                        f"100000000 (override with HOMTWIST_SEARCH_BUDGET)\n")
 
+    @pytest.mark.parametrize("what, count", [
+        (["centroid"], "2147483648 system cells (4096 unknowns x 524288 equations)"),
+        (["rb", "--entries", "0,1"], f"{2 ** 4096} candidates"),
+    ], ids=["centroid", "rb"])
+    def test_budget_refused_before_fixture_is_built(self, capsys, monkeypatch, what, count):
+        monkeypatch.delenv("HOMTWIST_SEARCH_BUDGET", raising=False)
+        monkeypatch.setattr(cli, "catalog_get", lambda *args, **kwargs: pytest.fail("built"))
+        code, out, err = run(capsys, "search", *what, "--fixture", "zero_algebra", "--dim", "64")
+        assert (code, out) == (2, "")
+        assert err == (f"error: search budget exceeded: {count} over a budget of 100000000 "
+                       f"(override with HOMTWIST_SEARCH_BUDGET)\n")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["centroid", "--dim", "3", "--set", "a=1"], "unknown parameter 'a' in assignment"),
+        (["rb", "--dim", "3", "--entries", "0,x"],
+         "bad rational in --entries: Invalid literal for Fraction: 'x'"),
+        (["rb", "--dim", "3", "--limit", "0"], "limit must be a positive integer"),
+        (["rb", "--dim", "3", "--weight", "1/0"], "bad rational in --weight: Fraction(1, 0)"),
+        (["rb", "--dim", "65"], "dimension budget exceeded: dimension 65 over a budget of 64"),
+        (["centroid", "--dim", "0"], "zero_algebra dimension must be a positive integer"),
+        (["rb", "--dim", "3", "--op", "nope"], "search budget exceeded: 19683 candidates over "
+                                               "a budget of 10 (override with HOMTWIST_SEARCH_BUDGET)"),
+    ], ids=["set", "entries", "limit", "weight", "dim-65", "dim-0", "op"])
+    def test_budget_error_keeps_its_place(self, capsys, monkeypatch, argv, err):
+        # every error that came before the search budget still does
+        monkeypatch.setenv("HOMTWIST_SEARCH_BUDGET", "10")
+        assert run(capsys, "search", *argv, "--fixture", "zero_algebra") == (2, "", f"error: {err}\n")
+
 
 class TestCatalogCommand:
     def test_listing(self, capsys):

@@ -295,3 +295,136 @@ class TestCentroidBasis:
         with pytest.raises(ValueError, match=r"search budget exceeded: 486 system cells "
                                              r"\(9 unknowns x 54 equations\) over a budget of 485"):
             centroid_basis(catalog_get("zero_algebra", dim=3))
+
+
+def _product_filter(grid, by_depth, limit):
+    """The hits of _backtrack's equations by plain enumeration, in index order."""
+    n = len(by_depth)
+    hits = []
+    for digits in itertools.product(range(len(grid)), repeat=n):
+        x = [grid[k] for k in digits] + [1]
+        if all(sum(coeff * x[a] * x[b] for coeff, a, b in eq) == 0
+               for eqs in by_depth for eq in eqs):
+            hits.append(digits)
+            if len(hits) == limit:
+                break
+    return hits
+
+
+class TestBacktrackKernel:
+    """``search._backtrack`` against a plain ``itertools.product`` filter over
+    the same integer equations; slot n is the constant 1."""
+
+    def test_random_systems(self):
+        rng = random.Random(1980)
+        values = [0, 1, -1, 2, -2, 3, -5, 2**40, -(3**30)]
+        coeffs = [1, -1, 2, -3, 5, 2**35]
+        multi_hit = 0
+        for trial in range(300):
+            n = rng.randint(1, 6)
+            grid = rng.sample(values, rng.randint(1, 4 if n < 5 else 3))
+            if trial % 2:
+                grid.sort()
+            planted = [rng.choice(grid) for _ in range(n)] + [1]
+            by_depth = [[] for _ in range(n)]
+            for _ in range(rng.randint(1, 4)):
+                v = rng.randrange(n)
+                terms = []
+                for _ in range(rng.randint(1, 4)):
+                    kind = rng.choice(["linear", "bilinear", "square"])
+                    a = rng.randint(0, v)
+                    b = {"linear": n, "bilinear": rng.randint(0, v), "square": a}[kind]
+                    if rng.random() < 0.5:
+                        a, b = b, a
+                    terms.append((rng.choice(coeffs), a, b))
+                if all(v not in term[1:] for term in terms):
+                    terms.append((rng.choice(coeffs), v, n))
+                if rng.random() < 0.7:
+                    # the planted point is a root
+                    value = sum(c * planted[a] * planted[b] for c, a, b in terms)
+                    terms.append((-value, n, n))
+                by_depth[v].append(terms)
+            for limit in (0, 1, 3):
+                expected = _product_filter(grid, by_depth, limit)
+                assert search._backtrack(grid, by_depth, limit) == expected, (trial, grid, by_depth)
+            multi_hit += len(expected) > 1
+        assert multi_hit >= 50
+
+    @pytest.mark.parametrize("grid, eq, hits", [
+        # 2*x - 6: the root 3 is off the grid, then on it
+        ([-1, 0, 1], [(2, 0, 1), (-6, 1, 1)], []),
+        ([0, 3], [(2, 0, 1), (-6, 1, 1)], [(1,)]),
+        # 2*x - 3: the floor of 3/2 is on the grid, the root is not an integer
+        ([1, 2], [(2, 0, 1), (-3, 1, 1)], []),
+        # x^2 - x - 2 = (x + 1)(x - 2)
+        ([-2, -1, 0, 1, 2], [(1, 0, 0), (-1, 0, 1), (-2, 1, 1)], [(1,), (4,)]),
+        # x^2 + 1 has no root
+        ([-1, 0, 1], [(1, 0, 0), (1, 1, 1)], []),
+    ])
+    def test_one_unknown(self, grid, eq, hits):
+        assert search._backtrack(grid, [[eq]], 0) == hits
+
+    @pytest.mark.parametrize("constant, hits", [
+        # x0*x1 - x1*x0 + x0 + c: x1 drops out; a = x0 + c prunes every x0 but -c
+        (-1, [(2, 0), (2, 1), (2, 2)]),
+        (0, [(1, 0), (1, 1), (1, 2)]),
+        (5, []),
+    ])
+    def test_deepest_entry_drops_out(self, constant, hits):
+        eq = [(1, 0, 1), (-1, 1, 0), (1, 0, 2), (constant, 2, 2)]
+        assert search._backtrack([-1, 0, 1], [[], [eq]], 0) == hits
+
+    def test_deepest_entry_drops_out_with_a_zero(self):
+        # x1*(x0 - x0): every prefix leaves a = b = c = 0, so nothing is pruned
+        eq = [(1, 0, 1), (-1, 1, 0)]
+        assert search._backtrack([-1, 0, 1], [[], [eq]], 0) == list(
+            itertools.product(range(3), repeat=2))
+
+    def test_quadratic_with_earlier_entries(self):
+        # x1^2 - x0*x1 - 2*x0^2 = (x1 - 2*x0)(x1 + x0), with x0 at depth 0
+        eq = [(1, 1, 1), (-1, 0, 1), (-2, 0, 0)]
+        grid = [-2, -1, 0, 1, 2]
+        assert search._backtrack(grid, [[], [eq]], 0) == _product_filter(grid, [[], [eq]], 0)
+        assert search._backtrack(grid, [[], [eq]], 0) == [
+            (0, 4), (1, 0), (1, 3), (2, 2), (3, 1), (3, 4), (4, 0)]
+
+
+# (fixture, point, grid, weight) -> hits found by the search before forward
+# checking, each a string of grid indices of the entries in row-major order
+_HOMLIE3 = ("ex_homlie3", {"a": 2, "b": Fraction(-1, 2), "c": 3, "d": Fraction(1, 3)})
+_SL2 = ("jackson_sl2", {"q": 2})
+_PINNED_HITS = [
+    (*_HOMLIE3, [-1, 0, 1], 0, "111101111 111111111 111121111"),
+    (*_HOMLIE3, [-1, 0, 1], 1, "011101110 111111111"),
+    (*_HOMLIE3, [Fraction(-3, 2), 0, Fraction(1, 2)], Fraction(-1, 2),
+     "111021021 111021111 111111111 211011112 211121112"),
+    (*_SL2, [-1, 0, 1], 0,
+     "011111111 101111101 101111111 101111121 110110111 110111111 110112111 111110111 "
+     "111111101 111111111 111111121 111112111 112110111 112111111 112112111 121111101 "
+     "121111111 121111121 211111111"),
+    (*_SL2, [-1, 0, 1], 1,
+     "001111100 001111110 001111120 010100111 010101111 010102111 011100111 011101110 "
+     "011101111 011102111 011111100 011111110 011111120 012100111 012101111 012102111 "
+     "021111100 021111110 021111120 101101101 101101111 101101121 110110110 110111110 "
+     "110112110 111101101 111101111 111101121 111110110 111111110 111111111 111112110 "
+     "112110110 112111110 112112110 121101101 121101111 121101121 211101111 211111110"),
+    (*_SL2, [-1, Fraction(-1, 2), 0], Fraction(1, 2),
+     "022212222 022222221 102222201 102222211 102222221 112222201 112222211 112222221 "
+     "120210222 120211222 120212222 121210222 121211222 121212222 122021221 122210222 "
+     "122211222 122212012 122212221 122212222 122222201 122222211 122222221 202212202 "
+     "202212212 202212222 212212202 212212212 212212222 220220221 220221221 220222221 "
+     "221220221 221221221 221222221 222212202 222212212 222212222 222220221 222221221 "
+     "222222221 222222222"),
+]
+
+
+class TestPinnedHits:
+    @pytest.mark.parametrize("name, point, grid, weight, hits", _PINNED_HITS,
+                             ids=[f"{c[0]}-{c[3]}-{len(c[4].split())}" for c in _PINNED_HITS])
+    def test_dim3_lie_hits(self, name, point, grid, weight, hits):
+        A = catalog_get(name, point)
+        found = search_rb(A, SearchConfig(grid, weight=weight))
+        assert [_entries(m) for m in found] == [[grid[int(k)] for k in hit] for hit in hits.split()]
+        theta = Scalar.constant(weight)
+        for R in found:
+            assert check_rota_baxter(A, R=R, theta=theta).passed
