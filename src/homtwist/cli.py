@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import axioms, constructions
 from .catalog import _selected_dim, catalog_get, catalog_list
 from .core import BilinearOp, HomAlgebra, LinearMap, RotaBaxter, Signature, require_dim
-from .scalar import Scalar, as_rational, parse_scalar
+from .scalar import Scalar, as_rational, parse_scalar, require_known_params
 from .search import SearchConfig, _check_budget, centroid_basis, search_rb, search_rb_oracle
 
 __all__ = ["to_document", "from_document", "save_algebra", "load_algebra", "main", "console_main"]
@@ -200,10 +200,17 @@ def _load_input(args) -> HomAlgebra:
     if bool(args.file) == bool(args.fixture):
         raise UsageError("provide exactly one of FILE or --fixture")
     if args.fixture:
+        # the assignment's names are checked on the fixture's descriptor, before
+        # the build, which can be large (zero_algebra --dim 64)
+        _selected_dim(args.fixture, args.dim)
+        assignment = _parse_assignments(args.set)
+        if assignment:
+            declared = next(f.params for f in catalog_list() if f.name == args.fixture)
+            require_known_params(assignment, declared)
         algebra = catalog_get(args.fixture, dim=args.dim)
     else:
         algebra = load_algebra(args.file)
-    assignment = _parse_assignments(args.set)
+        assignment = _parse_assignments(args.set)
     if assignment:
         algebra = algebra.specialize(assignment)
     return algebra
@@ -333,7 +340,8 @@ def _search_config(args) -> SearchConfig | None:
 
 def _cmd_search(args) -> int:
     # both budgets need only the dimension: the zero algebra's --dim is refused
-    # before the algebra is built (with --set, that fails after the build, first)
+    # before the algebra is built (with --set, the names are checked first, and
+    # the zero algebra has no parameters)
     if args.fixture and not args.file and not args.set:
         dim = _selected_dim(args.fixture, args.dim)
         if dim is not None:

@@ -21,7 +21,7 @@ from itertools import chain, compress
 from operator import add, methodcaller
 from typing import Iterable, Mapping, Sequence
 
-from .scalar import Scalar, _validated_params, as_rational
+from .scalar import Scalar, _validated_params, as_rational, require_known_params
 
 __all__ = [
     "LinearMap",
@@ -519,9 +519,7 @@ class HomAlgebra:
 
     def specialize(self, assignment: Mapping[str, object]) -> "HomAlgebra":
         """Substitute rationals for a subset of the parameters."""
-        for name in assignment:
-            if name not in self.params:
-                raise ValueError(f"unknown parameter {name!r} in assignment")
+        require_known_params(assignment, self.params)
         kept = tuple(p for p in self.params if p not in assignment)
         ops = {name: op.substitute(assignment) for name, op in self.ops.items()}
         rb = None

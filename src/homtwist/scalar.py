@@ -95,6 +95,13 @@ def _validated_params(params: Iterable[str]) -> _Params:
     return _Params(names)
 
 
+def require_known_params(assignment: Mapping[str, object], params: tuple[str, ...]):
+    """Refuse an assignment to a name that is not among ``params``."""
+    for name in assignment:
+        if name not in params:
+            raise ValueError(f"unknown parameter {name!r} in assignment")
+
+
 def _capped_comb(n: int, k: int, cap: int) -> int:
     """``C(n, k)``, or some value above ``cap`` once the result is known to be."""
     k = min(k, n - k)
@@ -339,9 +346,7 @@ class Scalar:
 
         The result lives over the remaining parameters, in declared order.
         """
-        for name in assignment:
-            if name not in self.params:
-                raise ValueError(f"unknown parameter {name!r} in assignment")
+        require_known_params(assignment, self.params)
         values = {name: as_rational(v) for name, v in assignment.items()}
         kept = _Params(p for p in self.params if p not in values)
         kept_pos = [i for i, p in enumerate(self.params) if p not in values]

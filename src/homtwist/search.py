@@ -5,12 +5,16 @@ satisfies the Rota-Baxter identity.  Its equations are the ``RB`` row of
 ``axioms._IDENTITIES``, expanded by ``axioms._expand``, the checks' engine
 with R unknown: after clearing denominators, the identity on each basis
 triple (i, j, k) is one quadratic equation with integer coefficients in the
-d*d entries of R.  The entries are assigned one at a time in row-major order
-(depth-first backtracking), and each equation is solved for its deepest entry
-as soon as the entries before it are set (forward checking): only the grid
-values that solve every equation at that entry are tried, in ascending order,
-and a partial matrix that leaves none is abandoned with its whole subtree.
-Hits therefore come out in lexicographic order of the flattened entries.
+d*d entries of R.  The entries are assigned one at a time (depth-first
+backtracking), and each equation is solved for its deepest entry as soon as
+the entries before it are set (forward checking): only the grid values that
+solve every equation at that entry are tried, in ascending order, and a
+partial matrix that leaves none is abandoned with its whole subtree.  The
+entries are assigned in an order read off the equations, those of the
+equations with fewest entries first, so that each equation prunes as shallow
+as it can; the hits are then sorted into lexicographic order of the flattened
+(row-major) entries.  Under a limit the order is row-major, in which the hits
+come out in lexicographic order as they are found.
 ``search_rb_oracle`` is an independent naive implementation used to
 cross-validate the search; it shares nothing with it beyond rational
 arithmetic.  ``centroid_basis`` solves the linear conditions of rows ``C1``
@@ -191,6 +195,17 @@ def _backtrack(grid: list[int], by_depth, limit: int) -> list[tuple[int, ...]]:
     return hits
 
 
+def _search_order(polys, n: int) -> list[int]:
+    """The order in which the search assigns the n unknowns: the equations'
+    unknowns, equations with fewest unknowns first (ties in the given order),
+    each equation's unseen ones ascending; then the unknowns no equation uses."""
+    order = {}
+    for used in sorted((sorted({v for mono in poly for v in mono}) for poly in polys), key=len):
+        order.update(dict.fromkeys(used))
+    order.update(dict.fromkeys(range(n)))
+    return list(order)
+
+
 def _lex_key(m: LinearMap):
     return tuple(x.constant_value() for row in m.entries for x in row)
 
@@ -199,6 +214,8 @@ def search_rb(A: HomAlgebra, cfg: SearchConfig) -> list[LinearMap]:
     """All matrices over the entry grid satisfying the Rota-Baxter identity.
 
     Deterministic: results come in lexicographic order of flattened entries.
+    The entries are assigned in ``_search_order``'s order, or in row-major
+    order under a limit, which keeps only the first hits in that order.
     The hits share one (immutable) ``Scalar`` per grid value, over
     ``A.params``.  Raises when the candidate count exceeds the budget or the
     algebra is parametric.
@@ -211,12 +228,21 @@ def search_rb(A: HomAlgebra, cfg: SearchConfig) -> list[LinearMap]:
     # coeff*x[a]*x[b]; a linear term's b is d*d, the slot of the constant 1
     s = lcm(cfg.weight.denominator, *(f.denominator for f in cfg.entry_set))
     data = {"o": _integer_support(A, cfg.op_name), "theta": int(cfg.weight * s)}
-    by_depth = [[] for _ in range(d * d)]
-    for poly in _expand(("RB",), 2, data, "R", d):
-        by_depth[max(mono[-1] for mono in poly)].append(
-            [(coeff, *mono) if len(mono) == 2 else (coeff, mono[0], d * d)
+    n = d * d
+    polys = _expand(("RB",), 2, data, "R", d)
+    # under a limit, only row-major order finds the first hits without finding them all
+    order = list(range(n)) if cfg.limit else _search_order(polys, n)
+    depth = [0] * n
+    for k, v in enumerate(order):
+        depth[v] = k
+    by_depth = [[] for _ in range(n)]
+    for poly in polys:
+        by_depth[max(depth[v] for mono in poly for v in mono)].append(
+            [(coeff, depth[mono[0]], depth[mono[1]] if len(mono) == 2 else n)
              for mono, coeff in poly.items()])
     found = _backtrack([int(f * s) for f in cfg.entry_set], by_depth, cfg.limit or 0)
+    if order != list(range(n)):
+        found = sorted(tuple(digits[depth[p]] for p in range(n)) for digits in found)
     cells = [Scalar.constant(f, A.params) for f in cfg.entry_set]
     return [LinearMap([[cells[x] for x in digits[p * d:(p + 1) * d]] for p in range(d)], A.params)
             for digits in found]

@@ -275,6 +275,16 @@ class TestSearchCommand:
         assert err == (f"error: search budget exceeded: {count} over a budget of 100000000 "
                        f"(override with HOMTWIST_SEARCH_BUDGET)\n")
 
+    @pytest.mark.parametrize("argv, name", [
+        (["search", "centroid", "--fixture", "zero_algebra", "--dim", "64", "--set", "a=1"], "a"),
+        (["check", "--fixture", "ex_assoc3", "--class", "hom-associative", "--set", "a=1",
+          "--set", "c=2"], "c"),
+    ], ids=["zero-dim-64", "ex_assoc3"])
+    def test_unknown_parameter_refused_before_fixture_is_built(self, capsys, monkeypatch,
+                                                               argv, name):
+        monkeypatch.setattr(cli, "catalog_get", lambda *args, **kwargs: pytest.fail("built"))
+        assert run(capsys, *argv) == (2, "", f"error: unknown parameter {name!r} in assignment\n")
+
     @pytest.mark.parametrize("argv, err", [
         (["centroid", "--dim", "3", "--set", "a=1"], "unknown parameter 'a' in assignment"),
         (["rb", "--dim", "3", "--entries", "0,x"],
@@ -615,6 +625,8 @@ class TestDocumentFuzz:
         doc, klass = _FUZZ_DOCUMENTS[which]
         doc = json.loads(json.dumps(doc))
         slots, arrays = _entry_slots(doc), _arrays(doc)
+        # read before the cells are set: a cell may be set to a list
+        nested = [isinstance(array[0], list) for array in arrays]
         for index, value in cells:
             container, key = slots[index % len(slots)]
             container[key] = value
@@ -628,10 +640,11 @@ class TestDocumentFuzz:
         if shape is not None and shape[0] == "dim":
             doc["dim"] = doc["dim"] + 1 if shape[1] == "one more" else shape[1]
         elif shape is not None:
-            array = arrays[shape[0] % len(arrays)]
+            which_array = shape[0] % len(arrays)
+            array = arrays[which_array]
             if shape[1] == "pop":
                 array.pop()
-            elif shape[1] == "scalar" and isinstance(array[0], list):
+            elif shape[1] == "scalar" and nested[which_array]:
                 array[0] = "0"
             else:
                 array.append(array[-1])
