@@ -193,54 +193,6 @@ class TestOracleAgreement:
         assert [_entries(m) for m in sols] == [[Fraction(0)]]
 
 
-def _search_order(A, weight=0):
-    data = {"o": search._integer_support(A, None), "theta": weight}
-    return search._search_order(_expand(("RB",), 2, data, "R", A.dim), A.dim ** 2)
-
-
-_HOMLIE3_POINT = {"a": 2, "b": Fraction(-1, 2), "c": 3, "d": Fraction(1, 3)}
-_DIM3_POINTS = [("ex_homlie3", _HOMLIE3_POINT), ("jackson_sl2", {"q": 2}),
-                ("ex_assoc3", {"a": 1, "b": 2})]
-
-
-class TestSearchOrder:
-    """``search._search_order``: the order in which ``search_rb`` assigns the
-    unknowns, read off the equations' unknowns."""
-
-    def test_is_a_permutation(self):
-        rng = random.Random(16)
-        algebras = [catalog_get(name, point) for name, point in _DIM3_POINTS]
-        algebras += [_random_plain(rng, dim) for dim in (1, 2, 2, 3, 3)]
-        for A in algebras:
-            for weight in (0, 1):
-                assert sorted(_search_order(A, weight)) == list(range(A.dim ** 2))
-
-    def test_identity_without_equations_and_in_dim_one(self):
-        rng = random.Random(17)
-        algebras = [catalog_get("zero_algebra", dim=d) for d in (1, 2, 3)]
-        algebras += [catalog_get("unital_field")] + [_random_plain(rng, 1) for _ in range(4)]
-        for A in algebras:
-            for weight in (0, 1, -2):
-                assert _search_order(A, weight) == list(range(A.dim ** 2))
-
-    @pytest.mark.parametrize("name, point", _DIM3_POINTS, ids=[n for n, _ in _DIM3_POINTS])
-    def test_reorders_the_dim3_fixtures(self, name, point):
-        A = catalog_get(name, point)
-        for weight in (0, 1):
-            assert _search_order(A, weight) != list(range(9))
-
-    def test_reordered_search_matches_oracle(self):
-        c = [[[0, 0], [-1, 0]], [[1, 0], [-1, Fraction(1, 2)]]]
-        A = one_op_algebra(2, c, "plain")
-        assert _search_order(A) != list(range(4))
-        grid = [-1, Fraction(-1, 2), 0, 1]
-        full = search_rb(A, SearchConfig(grid))
-        assert len(full) > 3
-        for limit in (None, 1, 3):
-            cfg = SearchConfig(grid, limit=limit)
-            assert search_rb(A, cfg) == search_rb_oracle(A, cfg) == full[:limit]
-
-
 class TestComplementClosure:
     def test_closure_under_complement(self):
         # whenever R is found and -theta*id - R stays on the grid, it is found too
@@ -476,3 +428,49 @@ class TestPinnedHits:
         theta = Scalar.constant(weight)
         for R in found:
             assert check_rota_baxter(A, R=R, theta=theta).passed
+
+
+def _search_order(A, weight=0):
+    data = {"o": search._integer_support(A, None), "theta": weight}
+    return search._search_order(_expand(("RB",), 2, data, "R", A.dim), A.dim ** 2)
+
+
+_DIM3_POINTS = [_HOMLIE3, _SL2, ("ex_assoc3", {"a": 1, "b": 2})]
+
+
+class TestSearchOrder:
+    """``search._search_order``: the order in which ``search_rb`` assigns the
+    unknowns, read off the equations' unknowns."""
+
+    def test_is_a_permutation(self):
+        rng = random.Random(16)
+        algebras = [catalog_get(name, point) for name, point in _DIM3_POINTS]
+        algebras += [_random_plain(rng, dim) for dim in (1, 2, 2, 3, 3)]
+        for A in algebras:
+            for weight in (0, 1):
+                assert sorted(_search_order(A, weight)) == list(range(A.dim ** 2))
+
+    def test_identity_without_equations_and_in_dim_one(self):
+        rng = random.Random(17)
+        algebras = [catalog_get("zero_algebra", dim=d) for d in (1, 2, 3)]
+        algebras += [catalog_get("unital_field")] + [_random_plain(rng, 1) for _ in range(4)]
+        for A in algebras:
+            for weight in (0, 1, -2):
+                assert _search_order(A, weight) == list(range(A.dim ** 2))
+
+    @pytest.mark.parametrize("name, point", _DIM3_POINTS, ids=[n for n, _ in _DIM3_POINTS])
+    def test_reorders_the_dim3_fixtures(self, name, point):
+        A = catalog_get(name, point)
+        for weight in (0, 1):
+            assert _search_order(A, weight) != list(range(9))
+
+    def test_reordered_search_matches_oracle(self):
+        c = [[[0, 0], [-1, 0]], [[1, 0], [-1, Fraction(1, 2)]]]
+        A = one_op_algebra(2, c, "plain")
+        assert _search_order(A) != list(range(4))
+        grid = [-1, Fraction(-1, 2), 0, 1]
+        full = search_rb(A, SearchConfig(grid))
+        assert len(full) > 3
+        for limit in (None, 1, 3):
+            cfg = SearchConfig(grid, limit=limit)
+            assert search_rb(A, cfg) == search_rb_oracle(A, cfg) == full[:limit]
